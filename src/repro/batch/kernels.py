@@ -38,14 +38,11 @@ stopped the train replays event-wise at its exact instant.
 from __future__ import annotations
 
 from itertools import islice as _islice
-from types import MethodType as _MethodType
 from typing import Tuple
 
 from repro import units
 from repro.core.memory import PacketBuffer as _PacketBuffer
 from repro.errors import QueueError
-
-_PB_RECYCLE = _PacketBuffer.recycle
 
 from repro.batch import _vec
 
@@ -299,10 +296,9 @@ def _fifo_train(train, start_ps: int) -> Tuple[int, int]:
                 recycle = frame.recycle
                 if recycle is not None:
                     frame.recycle = None
-                    if (type(recycle) is _MethodType
-                            and recycle.__func__ is _PB_RECYCLE):
+                    if type(recycle) is _PacketBuffer:
                         # PacketBuffer.recycle -> MemPool.give_back, inlined.
-                        buf = recycle.__self__
+                        buf = recycle
                         if buf.in_pool:
                             raise QueueError(
                                 "double free of a packet buffer")
@@ -428,9 +424,8 @@ def _fifo_train(train, start_ps: int) -> Tuple[int, int]:
                         rec = frame.recycle
                         if rec is not None:
                             frame.recycle = None
-                            if (type(rec) is _MethodType
-                                    and rec.__func__ is _PB_RECYCLE):
-                                buf = rec.__self__
+                            if type(rec) is _PacketBuffer:
+                                buf = rec
                                 if buf.in_pool:
                                     raise QueueError(
                                         "double free of a packet buffer")

@@ -34,65 +34,31 @@ DEFAULT_POOL_SIZE = 4096
 DEFAULT_BATCH_SIZE = 63
 
 
-class PacketBuffer:
+class PacketBuffer(PacketData):
     """One packet buffer of a memory pool (a DPDK mbuf).
 
-    Wraps a :class:`PacketData` plus pool bookkeeping and per-buffer offload
-    flags (the DMA descriptor bits the offload calls set).
+    The packet data itself — so the stack accessors (``buf.udp_packet``,
+    ``buf.size``, ...) are :class:`PacketData`'s — plus pool bookkeeping and
+    per-buffer offload flags (the DMA descriptor bits the offload calls
+    set).  ``buf.pkt`` is the buffer itself, for code written against the
+    wrapped-``PacketData`` shape; one object per buffer keeps a 4096-buffer
+    pool cheap to build and to collect.
     """
 
     __slots__ = (
         "pool", "pkt", "in_pool", "offload_ip", "offload_l4",
-        "timestamp_flag", "corrupt_fcs", "recycle_hook",
+        "timestamp_flag", "corrupt_fcs",
     )
 
     def __init__(self, pool: "MemPool", capacity: int) -> None:
+        PacketData.__init__(self, capacity, capacity)
         self.pool = pool
-        self.pkt = PacketData(size=capacity, capacity=capacity)
+        self.pkt = self
         self.in_pool = True
         self.offload_ip = False
         self.offload_l4 = False
         self.timestamp_flag = False
         self.corrupt_fcs = False
-        #: The bound ``recycle`` method, created once: the transmit path
-        #: attaches it to every materialized frame, and building a bound
-        #: method per packet is measurable at millions of packets.
-        self.recycle_hook = self.recycle
-
-    # Convenience accessors mirroring buf:getUdpPacket() etc.
-
-    @property
-    def udp_packet(self):
-        return self.pkt.udp_packet
-
-    @property
-    def tcp_packet(self):
-        return self.pkt.tcp_packet
-
-    @property
-    def ip_packet(self):
-        return self.pkt.ip_packet
-
-    @property
-    def eth_packet(self):
-        return self.pkt.eth_packet
-
-    @property
-    def ptp_packet(self):
-        return self.pkt.ptp_packet
-
-    @property
-    def udp_ptp_packet(self):
-        return self.pkt.udp_ptp_packet
-
-    @property
-    def icmp_packet(self):
-        return self.pkt.icmp_packet
-
-    @property
-    def size(self) -> int:
-        """Frame length excluding FCS (DPDK convention)."""
-        return self.pkt.size
 
     def reset_flags(self) -> None:
         self.offload_ip = False
@@ -103,6 +69,11 @@ class PacketBuffer:
     def recycle(self) -> None:
         """Return this buffer to its pool (the NIC's descriptor-fetch hook)."""
         self.pool.give_back(self)
+
+    #: The buffer is its own descriptor-fetch hook: the transmit path puts
+    #: it in ``SimFrame.recycle``, which the NIC calls.  No bound method is
+    #: built per packet, nor kept per buffer.
+    __call__ = recycle
 
 
 class MemPool:

@@ -41,9 +41,11 @@ class RxPacket(PacketBuffer):
 
     def __init__(self, frame: SimFrame) -> None:
         # Deliberately skip PacketBuffer.__init__: no pool allocation.
+        size = len(frame.data)
+        PacketData.__init__(self, size, max(64, size))
+        self.data[:size] = frame.data
         self.pool = _RX_POOL
-        self.pkt = PacketData(size=len(frame.data), capacity=max(64, len(frame.data)))
-        self.pkt.data[: len(frame.data)] = frame.data
+        self.pkt = self
         self.in_pool = False
         self.offload_ip = False
         self.offload_l4 = False

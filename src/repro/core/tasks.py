@@ -10,7 +10,7 @@ event loop rather than being scripted.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.memory import PacketBuffer
 from repro.core.ops import BarrierOp, CyclesOp, RecvOp, SendOp, SleepOp
@@ -32,6 +32,45 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.env import MoonGenEnv
 
 
+#: Wire bytes of offloaded frames, keyed ``(frame bytes, offload_ip,
+#: offload_l4)``.  The offloads are a pure function of that key and frames
+#: are immutable ``bytes``, so a hit is exact: a script that rewrites a
+#: field between sends presents a new key.  Cleared when full.
+_OFFLOAD_MEMO: Dict[tuple, bytes] = {}
+_OFFLOAD_MEMO_MAX = 1024
+
+
+def _apply_offloads(key: tuple) -> bytes:
+    """The wire bytes of a frame: its checksums as the NIC computes them.
+
+    ``key`` is ``(frame bytes, offload_ip, offload_l4)``; the IPv4 header
+    checksum, the UDP/TCP/ICMP checksum over IPv4 and the UDP checksum
+    over IPv6 are filled in as the descriptor bits ask.  Memoized in
+    :data:`_OFFLOAD_MEMO`.
+    """
+    raw, offload_ip, offload_l4 = key
+    data = bytearray(raw)
+    shadow = PacketData.wrap(data)
+    kind = shadow.classify()
+    if kind in ("udp4", "tcp4", "icmp4", "ip4"):
+        if offload_l4:
+            if kind == "udp4":
+                shadow.udp_packet.calculate_udp_checksum()
+            elif kind == "tcp4":
+                shadow.tcp_packet.calculate_tcp_checksum()
+            elif kind == "icmp4":
+                shadow.icmp_packet.calculate_icmp_checksum()
+        if offload_ip:
+            shadow.ip_packet.calculate_ip_checksum()
+    elif kind == "udp6" and offload_l4:
+        shadow.udp6_packet.calculate_udp_checksum()
+    wire = bytes(data)
+    if len(_OFFLOAD_MEMO) >= _OFFLOAD_MEMO_MAX:
+        _OFFLOAD_MEMO.clear()
+    _OFFLOAD_MEMO[key] = wire
+    return wire
+
+
 def materialize_frame(buf: PacketBuffer) -> SimFrame:
     """Snapshot a packet buffer into a wire frame, applying offloads.
 
@@ -40,77 +79,49 @@ def materialize_frame(buf: PacketBuffer) -> SimFrame:
     descriptor bits are set.  The buffer itself is *not* modified — like
     hardware offloading, the checksum exists only on the wire.
     """
-    pkt = buf.pkt
-    size = pkt._size
-    if buf.offload_ip or buf.offload_l4:
-        data = bytearray(pkt.data[:size])
-        shadow = PacketData.wrap(data, size)
-        kind = shadow.classify()
-        if kind in ("udp4", "tcp4", "icmp4", "ip4"):
-            if buf.offload_l4:
-                if kind == "udp4":
-                    shadow.udp_packet.calculate_udp_checksum()
-                elif kind == "tcp4":
-                    shadow.tcp_packet.calculate_tcp_checksum()
-                elif kind == "icmp4":
-                    shadow.icmp_packet.calculate_icmp_checksum()
-            if buf.offload_ip:
-                shadow.ip_packet.calculate_ip_checksum()
-        elif kind == "udp6" and buf.offload_l4:
-            shadow.udp6_packet.calculate_udp_checksum()
-        payload = bytes(data)
-    else:
-        # No offloads: snapshot straight to bytes (one copy, not three).
-        payload = bytes(memoryview(pkt.data)[:size])
-    frame = default_frame_pool.acquire(payload, fcs_ok=not buf.corrupt_fcs)
-    if buf.timestamp_flag:
-        frame.meta["timestamp"] = True
-    frame.recycle = buf.recycle_hook
-    return frame
+    return materialize_frames((buf,))[0]
 
 
-def materialize_frames(bufs: List[PacketBuffer]) -> List[SimFrame]:
+def materialize_frames(bufs: Sequence[PacketBuffer]) -> List[SimFrame]:
     """Materialize a whole batch; semantics of :func:`materialize_frame`.
 
     The per-packet call and global-pool lookup are measurable at line
-    rate, so the plain no-offload path is unrolled here — including
-    ``FramePool.acquire`` itself, whose shell reset is rewritten inline
-    (the ``recycle`` slot is reassigned per frame, never left stale);
-    offloaded buffers take the full per-frame path.
+    rate, so the loop is unrolled here — including ``FramePool.acquire``
+    itself, whose shell reset is rewritten inline (the ``recycle`` slot is
+    reassigned per frame, never left stale; ``meta`` is replaced, not
+    mutated, when it gains an entry, as ``acquire`` gives a fresh dict).
+    Offloaded buffers look their wire bytes up in :data:`_OFFLOAD_MEMO`
+    and otherwise share the loop.
     """
     pool = default_frame_pool
     free = pool._free
     fpop = free.pop
     seq_next = _frame_seq.__next__
+    memo_get = _OFFLOAD_MEMO.get
     out: List[SimFrame] = []
     append = out.append
     recycled = 0
     for buf in bufs:
-        if buf.offload_ip or buf.offload_l4:
-            append(materialize_frame(buf))
-            continue
         pkt = buf.pkt
-        psize = pkt._size
-        data = bytes(memoryview(pkt.data)[:psize])
+        data = bytes(memoryview(pkt.data)[:pkt._size])
+        if buf.offload_ip or buf.offload_l4:
+            key = (data, buf.offload_ip, buf.offload_l4)
+            data = memo_get(key) or _apply_offloads(key)
         if free:
             frame = fpop()
             frame.data = data
             frame.fcs_ok = not buf.corrupt_fcs
             frame.seq = seq_next()
-            size = psize + _FCS_SIZE
+            size = len(data) + _FCS_SIZE
             frame.size = size
             frame.wire_size = size + _WIRE_OVERHEAD
-            frame.pool = pool
-            frame.recycle = buf.recycle_hook
             recycled += 1
-            if buf.timestamp_flag:
-                frame.meta["timestamp"] = True
         else:
             frame = SimFrame(data, not buf.corrupt_fcs)
-            frame.pool = pool
-            frame.recycle = buf.recycle_hook
-            if buf.timestamp_flag:
-                frame.meta["timestamp"] = True
+        frame.pool = pool
+        frame.recycle = buf
+        if buf.timestamp_flag:
+            frame.meta = {"timestamp": True}
         append(frame)
     if recycled:
         pool.recycled += recycled

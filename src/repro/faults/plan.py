@@ -260,8 +260,17 @@ class FaultPlan:
                 f"unsupported fault-plan version {version} "
                 f"(this build reads {PLAN_VERSION})"
             )
+        entries = obj.get("faults", [])
+        if not isinstance(entries, (list, tuple)):
+            raise ConfigurationError(
+                f"fault plan 'faults' must be a list, got {type(entries).__name__}"
+            )
         faults: List[Fault] = []
-        for entry in obj.get("faults", []):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ConfigurationError(
+                    f"fault entry must be an object, got {entry!r}"
+                )
             entry = dict(entry)
             kind = entry.pop("fault", None)
             fault_cls = FAULT_KINDS.get(kind)
@@ -276,10 +285,19 @@ class FaultPlan:
                     f"fault {kind!r}: unknown fields {sorted(unknown)}"
                 )
             try:
-                faults.append(fault_cls(**entry))
+                fault = fault_cls(**entry)
+                fault.validate()  # a mistyped field fails here untyped
             except TypeError as exc:
                 raise ConfigurationError(f"fault {kind!r}: {exc}") from None
-        return cls(faults=tuple(faults), seed=int(obj.get("seed", 0)))
+            faults.append(fault)
+        seed = obj.get("seed", 0)
+        try:
+            seed = int(seed)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"fault plan seed must be an integer, got {seed!r}"
+            ) from None
+        return cls(faults=tuple(faults), seed=seed)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

@@ -16,10 +16,11 @@ minimum-sized frame therefore corresponds to a 60 B buffer.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Optional, Union
 
 from repro.errors import PacketError
-from repro.packet.address import Ip4Address
+from repro.packet.address import Ip4Address, Ip6Address, MacAddress
 from repro.packet.arp import ArpHeader, ArpOp
 from repro.packet.checksum import (
     internet_checksum,
@@ -169,25 +170,55 @@ class PacketData:
         return "eth"
 
 
-#: Cache of override-free fill write-sets, keyed by ``(stack class, frame
-#: length)``.  Value is ``(runs, max_end)`` where ``runs`` is a list of
-#: ``(offset, bytes)`` slices, or ``None`` when the class's defaults are
-#: not replayable (read-modify-write fields).
-_FILL_RUNS: Dict[tuple, Optional[tuple]] = {}
+#: Fill write-sets, keyed by ``(stack class, frame length, overrides)``
+#: where ``overrides`` is ``((name, type(value), value), ...)`` in call
+#: order (see :func:`_fill_key`).  Value is ``(runs, max_end)`` with
+#: ``runs`` a list of ``(slice, bytes)`` writes, ``None`` when the fill is
+#: not replayable (read-modify-write fields, a setter that raises), or
+#: :data:`_SEEN_ONCE` for a key met once: the proof costs two fills, so
+#: it runs on a key's second use and a stream of one-off fills (a scanner
+#: writing a new address per packet) keeps the setter path's cost.
+_FILL_RUNS: Dict[tuple, object] = {}
+#: Entries before the cache is cleared; a mempool init needs one.
+_FILL_RUNS_MAX = 256
 _RUNS_UNSET = object()
+_SEEN_ONCE = object()
+
+#: Override value types a write-set may be keyed on: immutable, hashable,
+#: and converted by the setters the same way every time.
+_REPLAYABLE_TYPES = frozenset(
+    (int, str, bytes, MacAddress, Ip4Address, Ip6Address)
+)
+#: A run of bytes both sentinel images agree on: written by the fill.
+_WRITTEN = re.compile(b"\x00+")
 
 
-def _default_fill_runs(cls, size: int) -> Optional[tuple]:
-    """The exact byte runs ``cls(...).fill(pkt_length=size)`` writes.
+def _fill_key(cls, size: int, overrides: Dict[str, object]) -> Optional[tuple]:
+    """The write-set cache key of a fill, or ``None`` if a value is not
+    one of :data:`_REPLAYABLE_TYPES` (it takes the setter path)."""
+    items = []
+    for name, value in overrides.items():
+        kind = type(value)
+        if kind not in _REPLAYABLE_TYPES:
+            return None
+        items.append((name, kind, value))
+    return (cls, size, tuple(items))
 
-    Runs the default fill twice on scratch buffers with opposite sentinel
+
+def _fill_runs(key: tuple) -> Optional[tuple]:
+    """The exact byte runs the fill described by ``key`` writes.
+
+    Runs the fill twice on scratch buffers with opposite sentinel
     backgrounds (0x00 and 0xFF) and diffs the results: a byte equal in
     both runs was written (to that constant), a byte still matching both
-    sentinels was untouched, and anything else means the defaults read
-    existing buffer state — not replayable, return ``None``.  Replaying
-    the runs on a live buffer therefore writes exactly the bytes a real
-    fill writes and leaves untouched bytes untouched.
+    sentinels was untouched, and anything else means the fill read
+    existing buffer state — not replayable, return ``None``.  A fill that
+    raises (unknown field, bad value) is not replayable either, so the
+    setter path raises the error.  Replaying the runs on a live buffer
+    therefore writes exactly the bytes a real fill writes and leaves
+    untouched bytes untouched.
     """
+    cls, size, overrides = key
     cap = max(size, cls.MIN_SIZE, 64)
     images = []
     for sentinel in (0x00, 0xFF):
@@ -195,27 +226,27 @@ def _default_fill_runs(cls, size: int) -> Optional[tuple]:
         try:
             view = cls(PacketData.wrap(data, size))
             view._set_defaults()
+            setters = view._fill_setters()
+            for name, _, value in overrides:
+                setters[name](value)
             view._finalize_lengths()
         except Exception:
             return None
+        if len(data) != cap:
+            return None
         images.append(data)
     b0, b1 = images
-    runs = []
-    run_start = -1
-    for i in range(cap):
-        x0 = b0[i]
-        if x0 == b1[i]:
-            if run_start < 0:
-                run_start = i
-            continue
-        if x0 != 0x00 or b1[i] != 0xFF:
-            return None
-        if run_start >= 0:
-            runs.append((run_start, bytes(b0[run_start:i])))
-            run_start = -1
-    if run_start >= 0:
-        runs.append((run_start, bytes(b0[run_start:cap])))
-    max_end = max((off + len(chunk) for off, chunk in runs), default=0)
+    x0 = int.from_bytes(b0, "big")
+    x = x0 ^ int.from_bytes(b1, "big")
+    diff = x.to_bytes(cap, "big")
+    # Untouched bytes differ as exactly 0x00 (first image) vs 0xFF.
+    if diff.translate(None, b"\x00\xff") or x0 & x:
+        return None
+    runs = [
+        (slice(m.start(), m.end()), bytes(b0[m.start():m.end()]))
+        for m in _WRITTEN.finditer(diff)
+    ]
+    max_end = max((s.stop for s, _ in runs), default=0)
     return runs, max_end
 
 
@@ -250,36 +281,37 @@ class _StackView:
         ``pkt_length``, ``eth_src``, ``eth_dst``, ``ip_src``, ``ip_dst``,
         ``udp_src``, ``udp_dst``, and so on.
 
-        An override-free fill (the mempool-init shape: thousands of
-        identical calls per pool) replays a cached write-set instead of
-        running the per-field setters — see :func:`_default_fill_runs`.
+        A fill whose override values are immutable (see
+        :data:`_REPLAYABLE_TYPES`) — the mempool-init shape, thousands of
+        identical calls per pool — replays a cached write-set instead of
+        running the per-field setters; see :func:`_fill_runs`.
         """
         pkt_length = kwargs.pop("pkt_length", None)
         if pkt_length is not None:
             self._set_length(int(pkt_length))
-        if not kwargs:
-            key = (type(self), self.pkt._size)
+        key = _fill_key(type(self), self.pkt._size, kwargs)
+        if key is not None:
             cached = _FILL_RUNS.get(key, _RUNS_UNSET)
             if cached is _RUNS_UNSET:
-                cached = _default_fill_runs(type(self), self.pkt._size)
-                _FILL_RUNS[key] = cached
-            if cached is not None:
+                if len(_FILL_RUNS) >= _FILL_RUNS_MAX:
+                    _FILL_RUNS.clear()
+                _FILL_RUNS[key] = cached = _SEEN_ONCE
+            elif cached is _SEEN_ONCE:
+                _FILL_RUNS[key] = cached = _fill_runs(key)
+            if cached is not None and cached is not _SEEN_ONCE:
                 runs, max_end = cached
                 data = self.pkt.data
                 if max_end <= len(data):
-                    for off, chunk in runs:
-                        data[off:off + len(chunk)] = chunk
+                    for where, chunk in runs:
+                        data[where] = chunk
                     return
-            self._set_defaults()
-            self._finalize_lengths()
-            return
         self._set_defaults()
         setters = self._fill_setters()
-        for key, value in kwargs.items():
-            setter = setters.get(key)
+        for name, value in kwargs.items():
+            setter = setters.get(name)
             if setter is None:
                 raise TypeError(
-                    f"unknown fill field {key!r} for {type(self).__name__}"
+                    f"unknown fill field {name!r} for {type(self).__name__}"
                 )
             setter(value)
         self._finalize_lengths()

@@ -42,6 +42,43 @@ class TestInternetChecksum:
         assert 0 <= ck.internet_checksum(payload) <= 0xFFFF
 
 
+def _sum16_reference(data):
+    """The RFC 1071 per-byte loop ``_sum16`` used to be."""
+    buf = bytes(data)
+    if len(buf) % 2:
+        buf += b"\x00"
+    total = 0
+    for i in range(0, len(buf), 2):
+        total += (buf[i] << 8) | buf[i + 1]
+    return total
+
+
+_BUFFER_KINDS = st.sampled_from([bytes, bytearray, memoryview])
+
+
+class TestSum16MatchesReference:
+    """``_sum16`` unpacks words in C; the unfolded sum must not change."""
+
+    @given(st.binary(min_size=0, max_size=1600), _BUFFER_KINDS,
+           st.integers(min_value=0, max_value=0x3FFFF))
+    def test_sum_and_checksum_equal_per_byte_loop(self, raw, kind, initial):
+        data = kind(raw)
+        ref = _sum16_reference(raw)
+        assert ck._sum16(data) == ref
+        assert ck.internet_checksum(data, initial) == ck._fold(ref + initial)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize("raw", [b"", b"\xff", b"\x01\x02\x03",
+                                     b"\xff" * 1501])
+    def test_empty_and_odd_lengths(self, kind, raw):
+        assert ck._sum16(kind(raw)) == _sum16_reference(raw)
+
+    def test_memoryview_slice(self):
+        raw = bytearray(range(200))
+        view = memoryview(raw)[3:104]
+        assert ck._sum16(view) == _sum16_reference(raw[3:104])
+
+
 class TestPseudoHeader:
     def test_v4_sum_parts(self):
         total = ck.pseudo_header_sum_v4(0x0A000001, 0x0A000002, 17, 20)

@@ -80,6 +80,20 @@ class TestFaultPlan:
                 {"fault": "link_flap", "target": "port:1",
                  "start_ns": 0, "end_ns": 1, "banana": True}]})
 
+    @pytest.mark.parametrize("obj, match", [
+        ({"faults": 3}, "must be a list"),
+        ({"faults": "link_flap"}, "must be a list"),
+        ({"faults": ["x"]}, "must be an object"),
+        ({"faults": [3]}, "must be an object"),
+        ({"seed": "x"}, "seed must be an integer"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"faults": [{"fault": "link_flap", "target": "port:1",
+                      "start_ns": "x", "end_ns": 1}]}, "link_flap"),
+    ])
+    def test_malformed_plan_is_configuration_error(self, obj, match):
+        with pytest.raises(ConfigurationError, match=match):
+            FaultPlan.from_dict(obj)
+
     def test_future_version_rejected(self):
         with pytest.raises(ConfigurationError, match="version"):
             FaultPlan.from_dict({"version": 99, "faults": []})
