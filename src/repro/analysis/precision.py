@@ -16,8 +16,8 @@ Three methods, one per mechanism family the paper measures:
 * ``crc`` — the Section 8 software rate control: the wire stays full
   and gaps are realised by inserting bad-FCS filler frames the
   receiver drops in hardware.  The CBR schedule is planned with the
-  same carry arithmetic as :meth:`~repro.core.ratecontrol.GapFiller.plan`
-  but in pure Python, so the audit runs without numpy.
+  carry loop :meth:`~repro.core.ratecontrol.GapFiller.plan` runs, which
+  is pure Python, so the audit runs without numpy.
 * ``software-burst`` — naive software pacing: bursts leave
   back-to-back, then the sender sleeps until the next burst is due
   (the pktgen/zsend shape: micro-bursts plus long gaps).
@@ -31,10 +31,11 @@ backend, and with the batch tier on or off.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro import units
-from repro.core.ratecontrol import GapFiller
+from repro.core.ratecontrol import GapFiller, skip_and_stretch, split_filler
 from repro.errors import ConfigurationError
 from repro.metrics.registry import Log2Histogram, MetricsRegistry
 from repro.metrics.snapshot import canonical_json
@@ -53,11 +54,10 @@ PERCENTILES = (1.0, 50.0, 99.0)
 def cbr_filler_schedule(filler: GapFiller, gap_ns: float) -> Iterator[List[int]]:
     """Endless per-packet filler schedules for a constant-bit-rate gap.
 
-    Pure-Python mirror of :meth:`GapFiller.plan` for the constant-gap
-    case: the same skip-and-stretch carry arithmetic, the same
-    :meth:`GapFiller._split_filler` decomposition — just without
-    materializing a numpy array, so the audit runs on a numpy-free
-    install.
+    The constant-gap case of :meth:`GapFiller.plan`: the same
+    :func:`~repro.core.ratecontrol.skip_and_stretch` carry and the same
+    :func:`~repro.core.ratecontrol.split_filler` decomposition, without a
+    numpy array, so the audit runs on a numpy-free install.
     """
     byte_ns = filler.byte_time_ns
     min_gap_ns = filler.pkt_wire_bytes * byte_ns
@@ -65,16 +65,10 @@ def cbr_filler_schedule(filler: GapFiller, gap_ns: float) -> Iterator[List[int]]
         raise ConfigurationError(
             f"desired gap {gap_ns:.1f} ns is below the frame's wire time "
             f"({min_gap_ns:.1f} ns); the requested rate exceeds line rate")
-    min_fill = filler.min_filler_wire
-    carry = 0.0
-    while True:
-        idle_bytes_f = (gap_ns - min_gap_ns) / byte_ns + carry
-        if idle_bytes_f < min_fill:
-            idle_bytes = 0 if idle_bytes_f < min_fill / 2 else min_fill
-        else:
-            idle_bytes = int(round(idle_bytes_f))
-        carry = idle_bytes_f - idle_bytes
-        yield filler._split_filler(idle_bytes)
+    ideal = itertools.repeat((gap_ns - min_gap_ns) / byte_ns)
+    for idle in skip_and_stretch(ideal, filler.min_filler_wire):
+        yield split_filler(idle, filler.min_filler_wire,
+                           filler.max_filler_wire)
 
 
 def _craft(buf, src: str, dst: str) -> None:

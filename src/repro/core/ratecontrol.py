@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 try:
     import numpy as np
@@ -181,20 +182,75 @@ class CustomGapPattern(TrafficPattern):
 # ---------------------------------------------------------------------------
 
 
+def skip_and_stretch(ideal_idle_bytes: Iterable[float],
+                     min_fill: int) -> Iterator[int]:
+    """Whole idle-byte counts for a stream of ideal (fractional) ones.
+
+    The skip-and-stretch carry of Section 8.4: each gap gets its ideal
+    idle time plus the error carried so far, rounded to whole bytes.  An
+    idle time below the minimum filler is unrepresentable: the packets go
+    back-to-back if it is closer to zero, else a minimum filler is sent,
+    and the error is carried.  Pure Python, so the numpy-free precision
+    audit shares it with :meth:`GapFiller.plan`.
+    """
+    half = min_fill / 2
+    carry = 0.0
+    for ideal in ideal_idle_bytes:
+        idle_f = ideal + carry
+        if idle_f < min_fill:
+            idle = 0 if idle_f < half else min_fill
+        else:
+            idle = round(idle_f)
+        carry = idle_f - idle
+        yield idle
+
+
+def split_filler(idle_bytes: int, min_wire: int, max_wire: int) -> List[int]:
+    """Decompose an idle-byte count into legal filler wire lengths."""
+    if idle_bytes == 0:
+        return []
+    fillers = []
+    remaining = idle_bytes
+    while remaining > max_wire:
+        # Leave at least a minimum-sized filler for the final piece.
+        take = min(max_wire, remaining - min_wire)
+        fillers.append(take)
+        remaining -= take
+    fillers.append(remaining)
+    return fillers
+
+
 @dataclass
 class FillPlan:
     """The wire schedule the gap filler computed for a batch of packets.
 
-    ``filler_wire_bytes[i]`` lists the wire lengths of the invalid frames
-    inserted *after* valid packet ``i``; ``actual_gaps_ns[i]`` is the
-    realised start-to-start gap between valid packets ``i`` and ``i+1``.
+    ``idle_bytes[i]`` is the idle wire time, in bytes, filled *after*
+    valid packet ``i``; ``filler_wire_bytes[i]`` lists the wire lengths of
+    the invalid frames that fill it; ``actual_gaps_ns[i]`` is the realised
+    start-to-start gap between valid packets ``i`` and ``i+1``.
     """
 
     frame_size: int
     speed_bps: int
-    filler_wire_bytes: List[List[int]]
+    idle_bytes: List[int]
     actual_gaps_ns: np.ndarray
     desired_gaps_ns: np.ndarray
+    min_filler_wire: int
+    max_filler_wire: int
+
+    @cached_property
+    def filler_wire_bytes(self) -> List[List[int]]:
+        """Per-packet filler lists, built on first use (departure times
+        never need them); each packet gets its own list."""
+        splits: Dict[int, List[int]] = {}
+        out = []
+        for idle in self.idle_bytes:
+            split = splits.get(idle)
+            if split is None:
+                split = splits[idle] = split_filler(
+                    idle, self.min_filler_wire, self.max_filler_wire)
+            out.append(split.copy())
+        return out
 
     @property
     def n_fillers(self) -> int:
@@ -280,20 +336,6 @@ class GapFiller:
             (self.min_filler_wire - 1) * self.byte_time_ns,
         )
 
-    def _split_filler(self, idle_bytes: int) -> List[int]:
-        """Decompose an idle-byte count into legal filler wire lengths."""
-        if idle_bytes == 0:
-            return []
-        fillers = []
-        remaining = idle_bytes
-        while remaining > self.max_filler_wire:
-            # Leave at least a minimum-sized filler for the final piece.
-            take = min(self.max_filler_wire, remaining - self.min_filler_wire)
-            fillers.append(take)
-            remaining -= take
-        fillers.append(remaining)
-        return fillers
-
     def plan(self, desired_gaps_ns: Iterable[float]) -> FillPlan:
         """Compute the filler schedule for a sequence of desired gaps.
 
@@ -303,13 +345,18 @@ class GapFiller:
         raise :class:`GapError` unless within rounding distance.
         """
         _require_numpy()
-        desired = np.asarray(list(desired_gaps_ns), dtype=float)
+        if not isinstance(desired_gaps_ns, np.ndarray):
+            desired_gaps_ns = list(desired_gaps_ns)
+        desired = np.asarray(desired_gaps_ns, dtype=float)
         if desired.size == 0:
             raise GapError("no gaps to plan")
+        if not np.isfinite(desired).all():
+            raise GapError("gaps must be finite")
         if np.any(desired < 0):
             raise GapError("gaps must be non-negative")
         pkt_wire = self.pkt_wire_bytes
-        min_gap_ns = pkt_wire * self.byte_time_ns
+        byte_ns = self.byte_time_ns
+        min_gap_ns = pkt_wire * byte_ns
         # Individual gaps below the frame's own wire time are legal in a
         # random pattern (the packets simply leave back-to-back and the
         # deficit is carried), but a *mean* below it asks for more than
@@ -320,27 +367,18 @@ class GapFiller:
                 f"the frame's wire time ({min_gap_ns:.1f} ns); the requested "
                 f"rate exceeds line rate"
             )
-        fillers: List[List[int]] = []
-        actual = np.empty(desired.size)
-        carry = 0.0
-        min_fill = self.min_filler_wire
-        for i, gap_ns in enumerate(desired):
-            idle_bytes_f = (gap_ns - min_gap_ns) / self.byte_time_ns + carry
-            if idle_bytes_f < min_fill:
-                # Unrepresentable small gap: send back-to-back if closer to
-                # zero, else emit a minimum filler; carry the error.
-                idle_bytes = 0 if idle_bytes_f < min_fill / 2 else min_fill
-            else:
-                idle_bytes = int(round(idle_bytes_f))
-            carry = idle_bytes_f - idle_bytes
-            fillers.append(self._split_filler(idle_bytes))
-            actual[i] = (pkt_wire + idle_bytes) * self.byte_time_ns
+        ideal = (desired - min_gap_ns) / byte_ns
+        idle = list(skip_and_stretch(ideal.tolist(), self.min_filler_wire))
+        actual = (np.fromiter(idle, dtype=float, count=len(idle))
+                  + pkt_wire) * byte_ns
         return FillPlan(
             frame_size=self.frame_size,
             speed_bps=self.speed_bps,
-            filler_wire_bytes=fillers,
+            idle_bytes=idle,
             actual_gaps_ns=actual,
             desired_gaps_ns=desired,
+            min_filler_wire=self.min_filler_wire,
+            max_filler_wire=self.max_filler_wire,
         )
 
     def plan_pattern(self, pattern: TrafficPattern, n: int) -> FillPlan:

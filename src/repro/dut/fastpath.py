@@ -1,4 +1,4 @@
-"""Vectorizable forwarder simulation over arrival-time arrays.
+"""Single-pass forwarder simulation over arrival-time arrays.
 
 The benches for Figures 7, 10 and 11 need millions of packets; driving the
 event loop for each would dominate runtime.  This module simulates the same
@@ -81,49 +81,83 @@ def simulate_forwarder(
     itr: Optional[ItrConfig] = None,
     pipeline_ns: float = DEFAULT_PIPELINE_NS,
 ) -> FastForwarderResult:
-    """Run the forwarder over sorted packet arrival times (ns)."""
-    require_numpy("the vectorized DuT fastpath")
+    """Run the forwarder over sorted, finite packet arrival times (ns)."""
+    require_numpy("the DuT fastpath")
     arrivals = np.asarray(arrivals_ns, dtype=float)
     if arrivals.size == 0:
         raise ValueError("no arrivals")
+    if not np.isfinite(arrivals).all():
+        raise ValueError("arrival times must be finite")
     if np.any(np.diff(arrivals) < 0):
         raise ValueError("arrival times must be sorted")
     moderator = InterruptModerator(itr or ItrConfig())
-    overhead = moderator.config.interrupt_overhead_ns
+    cfg = moderator.config
+    overhead = cfg.interrupt_overhead_ns
+    clump_window = cfg.clump_window_ns
 
-    n = arrivals.size
-    departures = np.full(n, np.nan)
+    # The moderator's per-packet state lives in locals; it is handed over
+    # only around ``fire()`` (once per interrupt, not per arrival) and at
+    # the end, so the ITR reclassification stays in one place.
+    clump_len = moderator._clump_len
+    max_clump = moderator._max_clump
+    last_arrival = moderator._last_arrival_ns
+    period_bytes = moderator._period_bytes
+    period_packets = moderator._period_packets
+    next_allowed = moderator.next_allowed_ns()
+
+    nan = float("nan")
+    departures = []
+    append = departures.append
     cpu_free = float("-inf")
-    dropped = 0
     accepted = 0
     dep_ptr = 0          # departures are non-decreasing for accepted packets
     done_times = []      # departure times of accepted packets, in order
 
-    for i in range(n):
-        a = arrivals[i]
-        moderator.observe_arrival(a)
+    for a in arrivals.tolist():
+        # Back-to-back arrival clumps (NIC-side observation).
+        if a - last_arrival <= clump_window:
+            clump_len += 1
+        else:
+            clump_len = 1
+        if clump_len > max_clump:
+            max_clump = clump_len
+        last_arrival = a
         # Advance the departed pointer to compute ring occupancy.
-        while dep_ptr < len(done_times) and done_times[dep_ptr] <= a:
+        while dep_ptr < accepted and done_times[dep_ptr] <= a:
             dep_ptr += 1
         if accepted - dep_ptr >= ring_size:
-            dropped += 1
+            append(nan)
             continue
         if cpu_free <= a:
             # CPU idle, interrupts armed: fire (moderated) and wake.
-            wake = max(a, moderator.next_allowed_ns())
+            wake = next_allowed if next_allowed > a else a
+            moderator._max_clump = max_clump
+            moderator._period_bytes = period_bytes
+            moderator._period_packets = period_packets
             moderator.fire(wake)
+            max_clump = period_bytes = period_packets = 0
+            next_allowed = moderator.next_allowed_ns()
             start = wake + overhead
         else:
             # NAPI poll mode: the packet is handled when the CPU gets to it.
             start = cpu_free
-        dep = start + service_ns
-        cpu_free = dep
-        moderator.account(1, pkt_size)
+        cpu_free = dep = start + service_ns
+        period_packets += 1
+        period_bytes += pkt_size
         # The frame leaves the DuT after the (load-independent) tx pipeline.
-        departures[i] = dep + pipeline_ns
+        append(dep + pipeline_ns)
         done_times.append(dep)
         accepted += 1
 
+    moderator._clump_len = clump_len
+    moderator._max_clump = max_clump
+    moderator._last_arrival_ns = last_arrival
+    moderator._period_bytes = period_bytes
+    moderator._period_packets = period_packets
+
+    n = arrivals.size
+    dropped = n - accepted
+    departures = np.fromiter(departures, dtype=float, count=n)
     duration = float(arrivals[-1] - arrivals[0]) if n > 1 else 0.0
     return FastForwarderResult(
         arrivals_ns=arrivals,

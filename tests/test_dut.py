@@ -126,6 +126,11 @@ class TestFastpath:
         with pytest.raises(ValueError):
             simulate_forwarder(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_forwarder(np.array([0.0, bad, 5.0]))
+
     def test_percentiles(self):
         res = simulate_forwarder(cbr_arrivals(1e6, 10_000))
         q1, med, q3 = res.latency_percentiles()

@@ -159,6 +159,12 @@ class TestPlan:
         with pytest.raises(GapError):
             GapFiller().plan([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(GapError, match="finite"):
+            GapFiller().plan([1000.0, bad, 1000.0])
+
     def test_departure_times_cumulative(self):
         plan = GapFiller().plan([1000.0, 1000.0])
         times = plan.departure_times_ns(start_ns=500.0)
