@@ -33,12 +33,6 @@ def main(argv=None) -> int:
                         help="run under the vectorized batch tier; records "
                              "the '-batch' modes plus delta_vs_event (the "
                              "tier's speedup over the event baseline)")
-    parser.add_argument("--scheduler", choices=perf.SCHEDULERS,
-                        default="heap",
-                        help="event-loop scheduler backend; 'calendar' runs "
-                             "land in the '-calendar' modes plus "
-                             "delta_vs_heap (the calendar queue's speedup "
-                             "over the heap baseline)")
     parser.add_argument("--scenario", action="append", dest="scenarios",
                         choices=sorted(perf.SCENARIOS),
                         help="run only this scenario (repeatable)")
@@ -60,12 +54,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     results = perf.run_suite(args.scenarios, smoke=args.smoke,
                              repeats=args.repeats, jobs=args.jobs,
-                             batch=args.batch, scheduler=args.scheduler)
+                             batch=args.batch)
     sweep_wall_s = time.perf_counter() - start
     doc = perf.write_bench(args.out, results, rebaseline=args.rebaseline,
                            smoke=args.smoke, jobs=args.jobs,
-                           sweep_wall_s=sweep_wall_s, batch=args.batch,
-                           scheduler=args.scheduler)
+                           sweep_wall_s=sweep_wall_s, batch=args.batch)
     print(perf.format_report(doc))
     print(f"\nsuite wall time {sweep_wall_s:.2f} s with jobs={args.jobs}")
     print(f"wrote {args.out}")

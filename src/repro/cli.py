@@ -114,12 +114,12 @@ def _write_metrics(snapshotter, out: str, command: str, seed: int,
 
 
 def _build_quickstart(seed: int, faults=None, metrics=False, batch=False,
-                      scheduler=None, dataplane=False):
+                      dataplane=False):
     """The quickstart topology: one CBR slave saturating a 10 GbE link."""
     from repro import MoonGenEnv
 
     env = MoonGenEnv(seed=seed, faults=faults, metrics=metrics, batch=batch,
-                     scheduler=scheduler, dataplane=dataplane)
+                     dataplane=dataplane)
     tx = env.config_device(0, tx_queues=1)
     rx = env.config_device(1, rx_queues=1)
     env.connect(tx, rx)
@@ -139,14 +139,13 @@ def _build_quickstart(seed: int, faults=None, metrics=False, batch=False,
 
 def _build_dut_forward(seed: int, faults=None, metrics=False,
                        rate_pps: float = 1.5e6, frame_size: int = 64,
-                       scheduler=None, dataplane=False):
+                       dataplane=False):
     """CBR traffic through the simulated OvS DuT (load-latency shape)."""
     from repro import MoonGenEnv
     from repro.dut import OvsForwarder
 
     env = MoonGenEnv(seed=seed, cost_noise=False, faults=faults,
-                     metrics=metrics, scheduler=scheduler,
-                     dataplane=dataplane)
+                     metrics=metrics, dataplane=dataplane)
     tx = env.config_device(0, tx_queues=2)
     rx = env.config_device(1, rx_queues=1)
     dut = OvsForwarder(env.loop)
@@ -185,7 +184,6 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
                                     faults=_resolve_faults(args),
                                     metrics=bool(args.metrics),
                                     batch=args.batch,
-                                    scheduler=args.scheduler,
                                     dataplane=bool(args.metrics))
     _warn_unmatched_faults(env)
     snapshotter = None
@@ -208,8 +206,7 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 def _build_load_latency(seed: int, rate_mpps: float, mode: str,
                         pattern_name: str, probes: int, faults=None,
-                        metrics=False, batch=False, scheduler=None,
-                        dataplane=False):
+                        metrics=False, batch=False, dataplane=False):
     """The load-latency experiment, built but not yet run.
 
     Shared by :func:`_cmd_load_latency` and the ``--jobs`` worker
@@ -221,7 +218,7 @@ def _build_load_latency(seed: int, rate_mpps: float, mode: str,
     from repro.dut import OvsForwarder
 
     env = MoonGenEnv(seed=seed, faults=faults, metrics=metrics, batch=batch,
-                     scheduler=scheduler, dataplane=dataplane)
+                     dataplane=dataplane)
     tx = env.config_device(0, tx_queues=2)
     rx = env.config_device(1, rx_queues=1)
     dut = OvsForwarder(env.loop)
@@ -251,8 +248,7 @@ def _load_latency_point(point, seed: int):
         seed=point["seed"], rate_mpps=point["rate"], mode=point["mode"],
         pattern_name=point["pattern"], probes=point["probes"],
         faults=_resolve_faults_value(point["faults"], point["seed"]),
-        metrics=True, dataplane=True, batch=point["batch"],
-        scheduler=point["scheduler"])
+        metrics=True, dataplane=True, batch=point["batch"])
     experiment.run(pps, duration_ns=point["duration_ms"] * 1e6,
                    dut_crc_counter=lambda: dut.rx_crc_errors)
     return env.dataplane.fingerprint()
@@ -263,8 +259,7 @@ def _cmd_load_latency(args: argparse.Namespace) -> int:
         seed=args.seed, rate_mpps=args.rate, mode=args.mode,
         pattern_name=args.pattern, probes=args.probes,
         faults=_resolve_faults(args), metrics=bool(args.metrics),
-        batch=args.batch, scheduler=args.scheduler,
-        dataplane=bool(args.metrics))
+        batch=args.batch, dataplane=bool(args.metrics))
     _warn_unmatched_faults(env)
     snapshotter = None
     if args.metrics:
@@ -295,8 +290,7 @@ def _cmd_load_latency(args: argparse.Namespace) -> int:
             point = {"seed": args.seed, "rate": args.rate,
                      "mode": args.mode, "pattern": args.pattern,
                      "probes": args.probes, "faults": args.faults,
-                     "duration_ms": args.duration_ms, "batch": args.batch,
-                     "scheduler": args.scheduler}
+                     "duration_ms": args.duration_ms, "batch": args.batch}
             replicas = run_parallel(
                 [dict(point, replica=i) for i in range(args.jobs)],
                 _load_latency_point, jobs=args.jobs)
@@ -328,7 +322,7 @@ def _cmd_precision(args: argparse.Namespace) -> int:
         rate_mpps=args.rate, frame_size=args.frame_size,
         duration_ns=args.duration_ms * 1e6, seed=args.seed,
         methods=tuple(args.methods) if args.methods else METHODS,
-        jobs=args.jobs or 1, batch=args.batch, scheduler=args.scheduler)
+        jobs=args.jobs or 1, batch=args.batch)
     print(f"rate-control precision audit @ {args.rate:.2f} Mpps "
           f"({args.frame_size} B frames, {args.duration_ms:g} ms simulated)")
     print(format_audit_table(results))
@@ -645,8 +639,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         results = perf.run_suite(args.scenarios, smoke=args.smoke,
                                  repeats=args.repeats, jobs=jobs,
-                                 batch=args.batch, scheduler=args.scheduler,
-                                 journal=journal, supervise=policy,
+                                 batch=args.batch, journal=journal,
+                                 supervise=policy,
                                  report=report)
         sweep_wall_s = time.perf_counter() - start
     except KeyError as exc:
@@ -654,8 +648,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     doc = perf.write_bench(args.out, results, rebaseline=args.rebaseline,
                            smoke=args.smoke, jobs=jobs,
-                           sweep_wall_s=sweep_wall_s, batch=args.batch,
-                           scheduler=args.scheduler)
+                           sweep_wall_s=sweep_wall_s, batch=args.batch)
     print(perf.format_report(doc))
     if args.batch and args.verbose:
         for name in sorted(results):
@@ -727,6 +720,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _report_outcome(report)
 
 
+def _add_batch_arg(p: argparse.ArgumentParser) -> None:
+    """``--batch`` for the single-simulation subcommands
+    (quickstart/load-latency/precision)."""
+    p.add_argument("--batch", action="store_true",
+                   help="execute homogeneous event trains through the "
+                        "vectorized batch tier (bit-identical output)")
+
+
+def _add_faults_arg(p: argparse.ArgumentParser) -> None:
+    """``--faults`` for the single-topology subcommands
+    (quickstart/load-latency/metrics/profile)."""
+    p.add_argument("--faults", metavar="PLAN",
+                   help="fault plan: builtin name (see 'faults --list') "
+                        "or a plan.json path")
+
+
 def _add_resilience_args(p: argparse.ArgumentParser,
                          quarantine: bool = False) -> None:
     """``--journal``/``--resume`` (and optionally ``--quarantine``) flags.
@@ -761,20 +770,11 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scheduler_help = ("event-loop scheduler backend: binary heap (default) "
-                      "or the O(1) calendar queue; results are bit-identical "
-                      "(default: $REPRO_SCHEDULER, else heap)")
-
     p = sub.add_parser("quickstart", help="saturate a simulated 10 GbE link")
     p.add_argument("--duration-ms", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--batch", action="store_true",
-                   help="execute homogeneous event trains through the "
-                        "vectorized batch tier (bit-identical output)")
-    p.add_argument("--scheduler", choices=("heap", "calendar"), default=None,
-                   help=scheduler_help)
-    p.add_argument("--faults", metavar="PLAN",
-                   help="fault plan: builtin name (see 'faults --list') or a plan.json path")
+    _add_batch_arg(p)
+    _add_faults_arg(p)
     p.add_argument("--metrics", metavar="OUT.JSONL",
                    help="sample the metrics registry during the run and "
                         "write the JSONL time series (+ manifest) here")
@@ -788,13 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-ms", type=float, default=20.0)
     p.add_argument("--probes", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--batch", action="store_true",
-                   help="execute homogeneous event trains through the "
-                        "vectorized batch tier (bit-identical output)")
-    p.add_argument("--scheduler", choices=("heap", "calendar"), default=None,
-                   help=scheduler_help)
-    p.add_argument("--faults", metavar="PLAN",
-                   help="fault plan: builtin name (see 'faults --list') or a plan.json path")
+    _add_batch_arg(p)
+    _add_faults_arg(p)
     p.add_argument("--metrics", metavar="OUT.JSONL",
                    help="sample the metrics registry during the run and "
                         "write the JSONL time series (+ manifest) here")
@@ -821,8 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "naive bursty software pacing, histogramming rx "
                     "inter-arrival gaps at the receiving NIC "
                     "(repro.analysis.precision).  Per-method fingerprints "
-                    "are bit-identical for any --jobs value, either "
-                    "scheduler backend, and with or without --batch.",
+                    "are bit-identical for any --jobs value and with or "
+                    "without --batch.",
     )
     p.add_argument("--rate", type=float, default=1.0, help="Mpps")
     p.add_argument("--frame-size", type=int, default=64, metavar="BYTES")
@@ -836,11 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan the per-method simulations across this many "
                         "worker processes (default: 1, serial; results "
                         "are bit-identical either way)")
-    p.add_argument("--batch", action="store_true",
-                   help="execute homogeneous event trains through the "
-                        "vectorized batch tier (bit-identical output)")
-    p.add_argument("--scheduler", choices=("heap", "calendar"), default=None,
-                   help=scheduler_help)
+    _add_batch_arg(p)
     p.add_argument("--csv", metavar="OUT.CSV",
                    help="write the per-method bucket histograms as CSV "
                         "(+ manifest with per-method fingerprints)")
@@ -912,11 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "results land in the '-batch' modes and "
                         "delta_vs_event records the speedup over the "
                         "event-by-event baseline")
-    p.add_argument("--scheduler", choices=("heap", "calendar"),
-                   default="heap",
-                   help="event-loop scheduler backend; 'calendar' runs "
-                        "land in the '-calendar' modes and delta_vs_heap "
-                        "records the speedup over the heap baseline")
     p.add_argument("--verbose", action="store_true",
                    help="with --batch: per-scenario batch-tier table "
                         "(trains, frames, events saved, and a fallback-"
@@ -1011,8 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="topology to run instrumented")
     p.add_argument("--duration-ms", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--faults", metavar="PLAN",
-                   help="fault plan: builtin name (see 'faults --list') or a plan.json path")
+    _add_faults_arg(p)
     p.add_argument("--out", metavar="OUT.JSONL",
                    help="write the JSONL series here (default: stdout); "
                         "a .manifest.json is written next to it")
@@ -1036,8 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="topology to profile")
     p.add_argument("--duration-ms", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--faults", metavar="PLAN",
-                   help="fault plan: builtin name (see 'faults --list') or a plan.json path")
+    _add_faults_arg(p)
     p.add_argument("--json", metavar="OUT.JSON",
                    help="also write the full report as JSON")
     p.set_defaults(func=_cmd_profile)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple, Type, Union
 
@@ -35,7 +36,17 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+def _check_finite(fault: "Fault", *names: str) -> None:
+    # inf/NaN are valid JSON to json.loads but not a simulated instant:
+    # an infinite window would only fail later, converting to integer ps.
+    for name in names:
+        value = getattr(fault, name)
+        _require(math.isfinite(value),
+                 f"{type(fault).__name__}.{name} must be finite: {value}")
+
+
 def _check_window(fault: "Fault") -> None:
+    _check_finite(fault, "start_ns", "end_ns")
     _require(fault.start_ns >= 0, f"{type(fault).__name__}: negative start_ns")
     _require(fault.end_ns >= fault.start_ns,
              f"{type(fault).__name__}: end_ns before start_ns")
@@ -161,6 +172,7 @@ class ClockStep:
     step_ns: float
 
     def validate(self) -> None:
+        _check_finite(self, "at_ns")
         _require(self.at_ns >= 0, "ClockStep: negative at_ns")
 
 
@@ -173,6 +185,7 @@ class ClockDrift:
     drift_ppm: float
 
     def validate(self) -> None:
+        _check_finite(self, "at_ns")
         _require(self.at_ns >= 0, "ClockDrift: negative at_ns")
 
 

@@ -23,9 +23,8 @@ integer picosecond stamps, so the arithmetic — including the
 order-dependent float accumulation inside ``Log2Histogram.sum`` — is
 reproducible exactly.  The batch execution tier (``repro.batch``)
 performs the *same* per-frame observations in the same order, so
-histogram fingerprints are bit-identical event vs batch, serial vs
-``--jobs N``, heap vs calendar scheduler (``tests/test_batch_equivalence.py``
-enforces this).
+histogram fingerprints are bit-identical event vs batch and serial vs
+``--jobs N`` (``tests/test_batch_equivalence.py`` enforces this).
 
 House rules kept:
 

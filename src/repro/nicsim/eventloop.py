@@ -14,50 +14,50 @@ Two execution styles coexist:
 
 Hot-path structure (docs/PERFORMANCE.md):
 
-* **pluggable scheduler** — the time-ordered structure behind
-  ``schedule_at`` lives in a scheduler object: :class:`HeapScheduler`
-  (binary heap, the default) or
-  :class:`repro.nicsim.calqueue.CalendarScheduler` (amortized O(1)
-  calendar queue for many-timer workloads).  Select with
-  ``EventLoop(scheduler=...)``, ``MoonGenEnv(scheduler=...)``, or the
-  ``REPRO_SCHEDULER`` environment variable.  Both backends share the
-  ``(time_ps, seq, Event)`` entry format and one sequence counter, so
-  same-instant ordering — and therefore every simulation result — is
-  bit-for-bit identical across them.
+* **one binary heap** — future events live in :class:`HeapScheduler`, a
+  heap of ``(time_ps, seq, Event)`` tuples; the sequence number makes
+  the order total, so same-instant events fire in insertion order.
+  ``schedule_at`` pushes straight onto the heap list.  No paper
+  scenario holds more than a few thousand pending events, so O(log n)
+  is a handful of comparisons.
 * **same-instant fast lane** — events scheduled for the *current* instant
   (``schedule(0, ...)``, the process-resume pattern) go into a plain FIFO
-  deque instead of the scheduler: O(1), no sequence number.  Ordering is
-  preserved exactly: every scheduler entry at the current instant was
+  deque instead of the heap: O(1), no sequence number.  Ordering is
+  preserved exactly: every heap entry at the current instant was
   scheduled before ``now`` reached it and therefore precedes every
   fast-lane entry, which are kept in insertion order by the deque.
 * **lazy-deletion compaction** — ``Event.cancel`` only sets a flag; the
-  scheduler entry stays until popped.  Long runs that cancel many timers
-  (e.g. ``wait_any`` timeouts) would otherwise grow the structure without
-  bound, so each scheduler counts lingering cancelled entries and rebuilds
+  heap entry stays until popped.  Long runs that cancel many timers
+  (e.g. ``wait_any`` timeouts) would otherwise grow the heap without
+  bound, so the heap counts lingering cancelled entries and rebuilds
   once they exceed half its size.
 * **exact O(1) live counts** — every event knows its accounting owner
-  (the scheduler, or the loop for lane events) and whether it is still
+  (the heap, or the loop for lane events) and whether it is still
   enqueued, so cancels decrement the right live counter exactly once and
   cancelling an already-fired handle (the MAC-wakeup and
   ``wait_any``-timeout patterns) is a no-op.  ``pending_events`` is a
   counter read, not a scan.
-* ``run()`` keeps the hot structures in locals and inlines the step
-  logic; the tracer hook costs one local ``is not None`` test per event
-  when disabled.  Attach tracers before calling ``run()``.
+* **two run loops** — ``run()`` normally executes
+  :meth:`EventLoop._run_heap`, which keeps the hot structures in locals
+  and inlines the pop logic; the tracer hook costs one local
+  ``is not None`` test per event when disabled.  With a
+  :class:`Watchdog` armed it executes :meth:`EventLoop._run_watched`
+  instead, which pops through :meth:`HeapScheduler.pop_due` and fires
+  the same events in the same order.  Attach tracers before calling
+  ``run()``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import time
 from collections import Counter as _Counter, deque
 from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimAborted, SimulationError
 
-#: Compact the scheduler when cancelled entries exceed this fraction of it.
+#: Compact the heap when cancelled entries exceed this fraction of it.
 _COMPACT_FRACTION = 0.5
 #: ...but never bother compacting structures smaller than this.
 _COMPACT_MIN = 64
@@ -73,7 +73,7 @@ class Event:
         self.time_ps = time_ps
         self.callback = callback
         self.cancelled = False
-        # Accounting owner for lazy deletion: the scheduler holding this
+        # Accounting owner for lazy deletion: the heap holding this
         # event, or the loop itself for fast-lane events.  ``_in_sched``
         # is cleared when the event is popped to fire, so cancelling a
         # stale handle afterwards cannot decrement a live counter twice.
@@ -90,16 +90,15 @@ class Event:
 
 
 class HeapScheduler:
-    """The default binary-heap scheduler: O(log n) insert/extract.
+    """The event loop's binary heap: O(log n) insert/extract.
 
     Entries are ``(time_ps, seq, Event)`` tuples ordered by the tuple
     itself; ``seq`` makes the order total, so the :class:`Event` is never
-    compared.  ``EventLoop.run()`` inlines directly against ``_queue``
-    for the hot path — any replacement scheduler instead goes through the
-    generic :meth:`pop_due` loop.
+    compared.  ``EventLoop.schedule_at`` and ``EventLoop._run_heap``
+    inline their pushes and pops directly against ``_queue``; the
+    watched loop, ``step()`` and the batch detector use the methods
+    below.
     """
-
-    name = "heap"
 
     __slots__ = ("_queue", "_seq", "_cancelled_pending", "live", "compactions")
 
@@ -115,15 +114,11 @@ class HeapScheduler:
 
     # -- scheduling ------------------------------------------------------------
 
-    def insert(self, time_ps: int, event: Event) -> None:
-        heapq.heappush(self._queue, (time_ps, next(self._seq), event))
-        self.live += 1
-
     def pop_due(self, bound_ps: Optional[int]) -> Optional[Event]:
         """Pop the earliest live event iff its time is <= ``bound_ps``.
 
         ``None`` bound means unbounded.  Returns ``None`` — without
-        popping — when the structure is empty or the earliest live event
+        popping — when the heap is empty or the earliest live event
         lies beyond the bound.
         """
         queue = self._queue
@@ -217,8 +212,8 @@ class Watchdog:
 
     On a trip the loop raises :class:`~repro.errors.SimAborted` carrying
     a diagnostics snapshot: the simulated clock, live pending-event
-    counts, the top pending-event owners (via the scheduler seam's
-    ``iter_entries``), and — when ``registry`` is attached
+    counts, the top pending-event owners (via
+    :meth:`HeapScheduler.iter_entries`), and — when ``registry`` is attached
     (``MoonGenEnv(metrics=..., watchdog=...)`` wires it) — the current
     value of every live metric.
 
@@ -248,45 +243,16 @@ class Watchdog:
         self.registry = registry
 
 
-def resolve_scheduler(spec: Any = None) -> Any:
-    """Turn a scheduler spec into a scheduler instance.
-
-    ``spec`` may be ``None`` (consult the ``REPRO_SCHEDULER`` environment
-    variable, default ``"heap"``), the name ``"heap"`` or ``"calendar"``,
-    or an already-constructed scheduler object (returned as-is).
-    """
-    if spec is None:
-        spec = os.environ.get("REPRO_SCHEDULER", "").strip() or "heap"
-    if isinstance(spec, str):
-        name = spec.strip().lower()
-        if name == "heap":
-            return HeapScheduler()
-        if name == "calendar":
-            from repro.nicsim.calqueue import CalendarScheduler
-            return CalendarScheduler()
-        raise ConfigurationError(
-            f"unknown scheduler {spec!r}; expected 'heap' or 'calendar'"
-        )
-    return spec
-
-
 class EventLoop:
     """The simulation scheduler."""
 
-    def __init__(self, scheduler: Any = None) -> None:
-        #: The pluggable time-ordered backend (:func:`resolve_scheduler`).
-        self.scheduler = resolve_scheduler(scheduler)
-        # Heap fast path for schedule_at: push straight onto the heap list
-        # (compaction mutates it in place, so the cached reference stays
-        # valid).  Other backends go through scheduler.insert().
-        if type(self.scheduler) is HeapScheduler:
-            self._heap_queue: Optional[List[Tuple[int, int, Event]]] = (
-                self.scheduler._queue
-            )
-            self._heap_seq = self.scheduler._seq
-        else:
-            self._heap_queue = None
-            self._heap_seq = None
+    def __init__(self) -> None:
+        #: The time-ordered store of future events.
+        self.scheduler = HeapScheduler()
+        # schedule_at pushes straight onto the heap list (compaction
+        # mutates it in place, so the cached reference stays valid).
+        self._heap_queue = self.scheduler._queue
+        self._heap_seq = self.scheduler._seq
         #: Same-instant FIFO fast lane: events for the current ``now_ps``.
         self._lane: Deque[Event] = deque()
         #: Live (non-cancelled) events in the lane — exact, see Event.
@@ -323,8 +289,8 @@ class EventLoop:
         #: Optional :class:`Watchdog`; ``None`` (default) keeps ``run()``
         #: on the uninstrumented fast paths.  With one armed, ``run()``
         #: dispatches to :meth:`_run_watched`, which adds a wall-clock
-        #: deadline and a zero-advance livelock detector around the
-        #: generic scheduler protocol.
+        #: deadline and a zero-advance livelock detector around
+        #: :meth:`HeapScheduler.pop_due`.
         self.watchdog: Optional[Watchdog] = None
 
     @property
@@ -342,9 +308,9 @@ class EventLoop:
         """Run ``callback`` at absolute time ``time_ps``."""
         time_ps = int(time_ps)
         if time_ps == self.now_ps:
-            # Same-instant fast lane: plain FIFO append.  Every scheduler
-            # entry at this instant predates it, so scheduler-first keeps
-            # seq order.
+            # Same-instant fast lane: plain FIFO append.  Every heap
+            # entry at this instant predates it, so heap-first keeps seq
+            # order.
             event = Event(time_ps, callback, self)
             self._lane.append(event)
             self._lane_live += 1
@@ -355,12 +321,9 @@ class EventLoop:
             )
         scheduler = self.scheduler
         event = Event(time_ps, callback, scheduler)
-        queue = self._heap_queue
-        if queue is not None:
-            heapq.heappush(queue, (time_ps, next(self._heap_seq), event))
-            scheduler.live += 1
-        else:
-            scheduler.insert(time_ps, event)
+        heapq.heappush(self._heap_queue,
+                       (time_ps, next(self._heap_seq), event))
+        scheduler.live += 1
         return event
 
     # -- lazy deletion ---------------------------------------------------------
@@ -416,7 +379,7 @@ class EventLoop:
         scheduler = self.scheduler
         while True:
             if lane:
-                # Scheduler entries at the current instant predate lane
+                # Heap entries at the current instant predate lane
                 # entries, so they fire first.
                 event = scheduler.pop_due(self.now_ps)
                 if event is not None:
@@ -448,21 +411,15 @@ class EventLoop:
         ``max_events`` guards against runaway simulations; exceeding it is a
         bug in the caller, not a normal exit.
 
-        The default :class:`HeapScheduler` gets a fully inlined loop (the
-        hottest code in the simulator); other schedulers run through the
-        generic :meth:`~HeapScheduler.pop_due` protocol.  Both paths fire
-        the same events in the same order with the same clock updates.
-
-        With a :class:`Watchdog` armed the watched loop runs instead —
-        same events, same order, same clocks, plus the wall-clock
-        deadline and livelock guards.
+        Normally the fully inlined heap loop runs (the hottest code in
+        the simulator).  With a :class:`Watchdog` armed the watched loop
+        runs instead — same events, same order, same clocks, plus the
+        wall-clock deadline and livelock guards.
         """
         if self.watchdog is not None:
             self._run_watched(until_ps, max_events)
-        elif type(self.scheduler) is HeapScheduler:
-            self._run_heap(until_ps, max_events)
         else:
-            self._run_generic(until_ps, max_events)
+            self._run_heap(until_ps, max_events)
 
     def _run_heap(self, until_ps: Optional[int], max_events: int) -> None:
         scheduler = self.scheduler
@@ -542,65 +499,11 @@ class EventLoop:
         if until_ps is not None and until_ps > self.now_ps:
             self.now_ps = until_ps
 
-    def _run_generic(self, until_ps: Optional[int], max_events: int) -> None:
-        """Scheduler-agnostic run loop — same order and clocks as above."""
-        lane = self._lane
-        pop_due = self.scheduler.pop_due
-        tracer = self.tracer
-        live = self.live_counts
-        now = self.now_ps
-        count = 0
-        lane_count = 0
-        prev_until = self._until_ps
-        self._until_ps = until_ps
-        try:
-            while until_ps is None or until_ps >= now:
-                if lane:
-                    # Scheduler entries at the current instant fire before
-                    # lane entries (seq order, see schedule_at).
-                    event = pop_due(now)
-                    if event is None:
-                        event = lane.popleft()
-                        if event.cancelled:
-                            continue
-                        event._in_sched = False
-                        self._lane_live -= 1
-                        lane_count += 1
-                else:
-                    event = pop_due(until_ps)
-                    if event is None:
-                        break
-                    time_ps = event.time_ps
-                    now = time_ps
-                    self.now_ps = time_ps
-                if tracer is not None:
-                    tracer.emit("event", "event_fired",
-                                cb=_callback_name(event.callback))
-                event.callback()
-                count += 1
-                if live is not None:
-                    live[0] = count
-                    live[1] = lane_count
-                if count > max_events:
-                    raise SimulationError(
-                        f"event budget exhausted after {max_events} events at "
-                        f"{self.now_ps} ps"
-                    )
-        finally:
-            self._until_ps = prev_until
-            self.events_processed += count
-            self.lane_events_processed += lane_count
-            if live is not None:
-                live[0] = 0
-                live[1] = 0
-        if until_ps is not None and until_ps > self.now_ps:
-            self.now_ps = until_ps
-
     def _run_watched(self, until_ps: Optional[int], max_events: int) -> None:
-        """The generic run loop wrapped in watchdog guards.
+        """A :meth:`HeapScheduler.pop_due` run loop wrapped in watchdog guards.
 
         Fires the same events in the same order with the same clock
-        updates as :meth:`_run_heap`/:meth:`_run_generic` — the guards
+        updates as :meth:`_run_heap` — the guards
         only *observe* (a wall-clock read every ``check_every`` events,
         one comparison per event for the zero-advance counter) and abort
         via :class:`~repro.errors.SimAborted` when tripped.
@@ -623,6 +526,8 @@ class EventLoop:
         try:
             while until_ps is None or until_ps >= now:
                 if lane:
+                    # Heap entries at the current instant fire before
+                    # lane entries (seq order, see schedule_at).
                     event = pop_due(now)
                     if event is None:
                         event = lane.popleft()
@@ -682,7 +587,7 @@ class EventLoop:
                              zero_advance: int = 0, top: int = 8) -> dict:
         """What the simulation looks like *right now*, for abort reports.
 
-        Walks the scheduler seam's ``iter_entries`` plus the fast lane to
+        Walks :meth:`HeapScheduler.iter_entries` plus the fast lane to
         attribute pending events to their callback owners — on a livelock
         that list names the components spinning at the current instant.
         ``metrics`` is included when the armed watchdog carries a

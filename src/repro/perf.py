@@ -8,28 +8,18 @@ rate.  This module pins a small suite of hot-path scenarios, measures them
 reproducibly, and records the trajectory in ``BENCH_core.json`` so every
 future PR is held to the current numbers.
 
-Four pinned scenarios:
+Three pinned scenarios:
 
-* ``eventloop`` — the raw scheduler: timer wheels, same-instant bursts,
+* ``eventloop`` — the raw event loop: timer chains, same-instant bursts,
   cancellations.  Measures the event loop alone.
-* ``timer_churn`` — the many-timer cancel-heavy shape (hundreds of
-  thousands of concurrently armed timeouts, ~90 % cancelled before
-  firing): the workload the calendar-queue scheduler exists for.
 * ``bench_table1`` — the Table 1 transmit loop (one core, one 10 GbE
   port, 64 B frames): the canonical single-core hot path.
 * ``bench_fig2`` — the Figure 2 heavy multicore script (4 cores, 2 ports,
   8 random fields + IP offload per packet): the scaling hot path.
 
-Every scenario also takes a ``scheduler`` (``"heap"``/``"calendar"``,
-see ``repro.nicsim.calqueue``); per-scheduler baselines live in
-``-calendar``-suffixed modes and ``delta_vs_heap`` records the calendar
-backend's ratio against the heap baseline of the same mode — the
-scheduler seam's speedup claim, analogous to ``delta_vs_event`` for the
-batch tier.
-
 Metrics per scenario:
 
-* ``events`` / ``wall_s`` / ``events_per_sec`` — scheduler throughput;
+* ``events`` / ``wall_s`` / ``events_per_sec`` — event-loop throughput;
 * ``sim_packets`` / ``wall_pps`` — simulated packets per *wall* second,
   the simulator's effective generator rate;
 * ``sim_pps`` — packets per *simulated* second (a correctness fingerprint:
@@ -55,12 +45,8 @@ deltas stay interpretable.
       },
       "current": {"mode": "full", "recorded": ..., "scenarios": {...}},
       "delta":   {"bench_table1": {"events_per_sec": 2.43, ...}, ...},
-      "delta_vs_event": {"bench_table1": {"events_per_sec": 3.1, ...}},
-      "delta_vs_heap":  {"timer_churn": {"events_per_sec": 1.5, ...}}
+      "delta_vs_event": {"bench_table1": {"events_per_sec": 3.1, ...}}
     }
-
-Calendar-scheduler runs (``--scheduler calendar``) land in
-``full-calendar``/``smoke-calendar`` (and ``-batch-calendar``) modes.
 
 ``delta`` values are ratios current/baseline (>1 is faster), always
 computed against the baseline of the *same mode* — smoke workloads are
@@ -99,17 +85,16 @@ FINGERPRINT_METRICS = ("events", "sim_packets", "sim_pps")
 # scenarios
 
 
-def _scenario_eventloop(smoke: bool, batch: bool = False,
-                        scheduler: str = "heap") -> Dict[str, float]:
-    """Raw scheduler throughput: timers, same-instant bursts, cancels.
+def _scenario_eventloop(smoke: bool, batch: bool = False) -> Dict[str, float]:
+    """Raw event-loop throughput: timers, same-instant bursts, cancels.
 
     ``batch`` is accepted for signature uniformity but is a no-op: the
-    scenario exercises the scheduler alone, with no NIC ports to batch.
+    scenario exercises the event loop alone, with no NIC ports to batch.
     """
     from repro.nicsim.eventloop import EventLoop
 
     n_timers = 20_000 if smoke else 80_000
-    loop = EventLoop(scheduler=scheduler)
+    loop = EventLoop()
     state = {"chains": 0}
 
     # Interleaved timer chains: each fired event reschedules itself a few
@@ -150,7 +135,7 @@ def _effective_events(env) -> int:
     """Events the run *accounts for*: processed plus batch-tier savings.
 
     With the batch tier on, trains execute arithmetically and their
-    per-frame events never reach the scheduler; counting only
+    per-frame events never reach the event loop; counting only
     ``events_processed`` would make a faster run look slower.  The tier
     tracks exactly how many events each train replaced, so
     ``processed + saved`` is the event-path-equivalent workload and
@@ -163,98 +148,13 @@ def _effective_events(env) -> int:
     return events
 
 
-class _ChurnFlow:
-    """One periodic timer with a guard timeout, rearmed on every fire.
-
-    The distilled ``wait_any``-timeout pattern: a flow arms a long guard
-    timeout, the expected event arrives first, the timeout is cancelled
-    and a new one armed.  Kept as a ``__slots__`` class (not closures) so
-    the measured cost is the scheduler's, not the workload's.
-    """
-
-    __slots__ = ("loop", "stride_ps", "timeout_ps", "hops", "pending")
-
-    def __init__(self, loop, stride_ps: int, timeout_ps: int, hops: int) -> None:
-        self.loop = loop
-        self.stride_ps = stride_ps
-        self.timeout_ps = timeout_ps
-        self.hops = hops
-        self.pending = None
-
-    def _expire(self) -> None:
-        self.pending = None
-
-    def fire(self) -> None:
-        pending = self.pending
-        if pending is not None:
-            pending.cancel()
-        self.hops -= 1
-        if self.hops <= 0:
-            return
-        loop = self.loop
-        now = loop.now_ps
-        self.pending = loop.schedule_at(now + self.timeout_ps, self._expire)
-        loop.schedule_at(now + self.stride_ps, self.fire)
-
-
-def _scenario_timer_churn(smoke: bool, batch: bool = False,
-                          scheduler: str = "heap") -> Dict[str, float]:
-    """Cancel-heavy many-timer churn: the calendar queue's home turf.
-
-    Hundreds of thousands of flows each keep one periodic event plus one
-    far-future guard timeout armed; ~90 % of the timeouts are cancelled
-    before firing (the ``wait_any``-timeout shape).  The pending set
-    stays huge, so the heap pays O(log n) per pop across random cache
-    lines while the calendar queue stays O(1) — this is the scenario
-    behind the ``delta_vs_heap`` claim.
-
-    The cyclic garbage collector is disabled around the measured region
-    (as ``timeit`` does): with ~1M live events a generational pass is
-    O(pending set) and lands on whichever allocation triggers it,
-    swamping the scheduler delta under test.  ``batch`` is a no-op here
-    (pure timers, nothing to batch).
-    """
-    import gc
-
-    from repro.nicsim.eventloop import EventLoop
-
-    n_flows = 8_000 if smoke else 480_000
-    hops = 10 if smoke else 4
-    loop = EventLoop(scheduler=scheduler)
-    flows = [_ChurnFlow(loop, 211 + (i * 37) % 797, 50_000_000, hops)
-             for i in range(n_flows)]
-    for i, flow in enumerate(flows):
-        loop.schedule_at(1 + (i * 7919) % 100_000, flow.fire)
-
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        loop.run()
-        wall = time.perf_counter() - t0
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    events = loop.events_processed
-    return {
-        "events": events,
-        "wall_s": wall,
-        "events_per_sec": events / wall,
-        "sim_packets": 0,
-        "wall_pps": 0.0,
-        "sim_pps": 0.0,
-    }
-
-
-def _scenario_bench_table1(smoke: bool, batch: bool = False,
-                           scheduler: str = "heap") -> Dict[str, float]:
+def _scenario_bench_table1(smoke: bool,
+                           batch: bool = False) -> Dict[str, float]:
     """The Table 1 transmit loop: one core saturating one 10 GbE port."""
     from repro import MoonGenEnv
 
     duration_ns = 1_500_000 if smoke else 6_000_000
-    env = MoonGenEnv(seed=1, core_freq_hz=2.4e9, batch=batch,
-                     scheduler=scheduler)
+    env = MoonGenEnv(seed=1, core_freq_hz=2.4e9, batch=batch)
     tx = env.config_device(0, tx_queues=1)
     rx = env.config_device(1, rx_queues=1)
     env.connect(tx, rx)
@@ -286,8 +186,7 @@ def _scenario_bench_table1(smoke: bool, batch: bool = False,
     return out
 
 
-def _scenario_bench_fig2(smoke: bool, batch: bool = False,
-                         scheduler: str = "heap") -> Dict[str, float]:
+def _scenario_bench_fig2(smoke: bool, batch: bool = False) -> Dict[str, float]:
     """The Figure 2 heavy script on 4 cores and two shared ports."""
     from repro import MoonGenEnv
 
@@ -305,8 +204,7 @@ def _scenario_bench_fig2(smoke: bool, batch: bool = False,
                 bufs.offload_ip_checksums()
                 yield queue.send(bufs)
 
-    env = MoonGenEnv(seed=3, core_freq_hz=1.2e9, batch=batch,
-                     scheduler=scheduler)
+    env = MoonGenEnv(seed=3, core_freq_hz=1.2e9, batch=batch)
     ports = [env.config_device(i, tx_queues=n_cores) for i in (0, 1)]
     sinks = [env.config_device(i + 2, rx_queues=1) for i in (0, 1)]
     for port, sink in zip(ports, sinks):
@@ -333,13 +231,9 @@ def _scenario_bench_fig2(smoke: bool, batch: bool = False,
 
 SCENARIOS: Dict[str, Callable[..., Dict[str, float]]] = {
     "eventloop": _scenario_eventloop,
-    "timer_churn": _scenario_timer_churn,
     "bench_table1": _scenario_bench_table1,
     "bench_fig2": _scenario_bench_fig2,
 }
-
-#: Valid values for the ``scheduler`` scenario/suite parameter.
-SCHEDULERS = ("heap", "calendar")
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +288,14 @@ def _collapse_rounds(name: str,
 
 
 def measure(name: str, smoke: bool = False, repeats: int = 3,
-            batch: bool = False, scheduler: str = "heap") -> Dict[str, float]:
+            batch: bool = False) -> Dict[str, float]:
     """Run one scenario ``repeats`` times; fastest round plus noise stats."""
     runner = SCENARIOS[name]
     return _collapse_rounds(
-        name,
-        [runner(smoke, batch, scheduler) for _ in range(max(1, repeats))])
+        name, [runner(smoke, batch) for _ in range(max(1, repeats))])
 
 
-def _scenario_round(point: Tuple[str, bool, bool, str, int],
+def _scenario_round(point: Tuple[str, bool, bool, int],
                     _seed: int) -> Dict[str, float]:
     """One (scenario, round) sweep point for the parallel engine.
 
@@ -410,8 +303,8 @@ def _scenario_round(point: Tuple[str, bool, bool, str, int],
     fingerprints pin down), so the engine-derived seed is unused — the
     round index in the point only differentiates sweep points.
     """
-    name, smoke, batch, scheduler, _round = point
-    return SCENARIOS[name](smoke, batch, scheduler)
+    name, smoke, batch, _round = point
+    return SCENARIOS[name](smoke, batch)
 
 
 def run_suite(
@@ -420,7 +313,6 @@ def run_suite(
     repeats: int = 3,
     jobs: int = 1,
     batch: bool = False,
-    scheduler: str = "heap",
     journal=None,
     supervise=None,
     report=None,
@@ -437,9 +329,6 @@ def run_suite(
     (``repro.batch``) and ``events`` counts processed plus tier-saved
     events; results land in the ``-batch`` modes of BENCH_core.json.
 
-    ``scheduler`` selects the event-loop backend for every scenario;
-    results of a ``"calendar"`` run land in the ``-calendar`` modes.
-
     ``journal``/``supervise``/``report`` are forwarded to
     :func:`repro.parallel.run_parallel` — a journaled bench skips
     already-recorded (scenario, round) points on ``--resume`` and its
@@ -453,11 +342,8 @@ def run_suite(
     if unknown:
         raise KeyError(f"unknown perf scenarios: {unknown}; "
                        f"valid: {sorted(SCENARIOS)}")
-    if scheduler not in SCHEDULERS:
-        raise KeyError(f"unknown scheduler {scheduler!r}; "
-                       f"valid: {list(SCHEDULERS)}")
     repeats = max(1, repeats)
-    points = [(name, bool(smoke), bool(batch), scheduler, rnd)
+    points = [(name, bool(smoke), bool(batch), rnd)
               for name in selected for rnd in range(repeats)]
     rounds = run_parallel(points, _scenario_round, jobs=jobs,
                           journal=journal, supervise=supervise,
@@ -545,21 +431,17 @@ def write_bench(
     jobs: int = 1,
     sweep_wall_s: Optional[float] = None,
     batch: bool = False,
-    scheduler: str = "heap",
 ) -> Dict[str, object]:
     """Merge a run into ``BENCH_core.json``; returns the written document.
 
     Baselines are per mode (``full``/``smoke``/``full-batch``/
-    ``smoke-batch``, each with a ``-calendar`` variant) and kept verbatim
+    ``smoke-batch``) and kept verbatim
     unless absent or ``rebaseline`` is set; ``current`` and ``delta`` are
     replaced every run, with ``delta`` always computed same-mode.  A
     batch-mode run additionally writes ``delta_vs_event``: the cross-mode
     ratio against the event-by-event baseline of the same length — the
     number that backs the batch tier's speedup claim (events there count
-    processed plus tier-saved, see :func:`_effective_events`).  A
-    calendar-scheduler run likewise writes ``delta_vs_heap``: its ratio
-    against the heap baseline of the same mode, the scheduler seam's
-    speedup claim (``timer_churn`` is the scenario it exists for).
+    processed plus tier-saved, see :func:`_effective_events`).
 
     Alongside the trajectory file, a provenance manifest
     (``<path minus .json>.manifest.json``, see ``repro.metrics.manifest``)
@@ -568,9 +450,7 @@ def write_bench(
     BENCH_core.json reproducible.
     """
     event_mode = "smoke" if smoke else "full"
-    heap_mode = f"{event_mode}-batch" if batch else event_mode
-    calendar = scheduler == "calendar"
-    mode = f"{heap_mode}-calendar" if calendar else heap_mode
+    mode = f"{event_mode}-batch" if batch else event_mode
     # Batch-tier self-accounting rides on results for the CLI's --verbose
     # table but is not a perf metric; keep it out of the trajectory file.
     current = {name: {k: v for k, v in metrics.items() if k != "batch_stats"}
@@ -593,21 +473,13 @@ def write_bench(
             baselines[mode].get("scenarios", {}), current
         ),
     }
-    event_base_mode = f"{event_mode}-calendar" if calendar else event_mode
-    if batch and isinstance(baselines.get(event_base_mode), dict):
+    if batch and isinstance(baselines.get(event_mode), dict):
         out["delta_vs_event"] = compute_delta(
-            baselines[event_base_mode].get("scenarios", {}), current
+            baselines[event_mode].get("scenarios", {}), current
         )
     elif isinstance(doc.get("delta_vs_event"), dict) and not batch:
         # Keep the last recorded cross-mode ratios visible on event runs.
         out["delta_vs_event"] = doc["delta_vs_event"]
-    if calendar and isinstance(baselines.get(heap_mode), dict):
-        out["delta_vs_heap"] = compute_delta(
-            baselines[heap_mode].get("scenarios", {}), current
-        )
-    elif isinstance(doc.get("delta_vs_heap"), dict) and not calendar:
-        # Keep the last recorded cross-scheduler ratios visible on heap runs.
-        out["delta_vs_heap"] = doc["delta_vs_heap"]
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
@@ -621,8 +493,8 @@ def write_bench(
     }
     RunManifest(
         command=("moongen-repro bench"
-                 f"{' --smoke' if smoke else ''}{' --batch' if batch else ''}"
-                 f"{' --scheduler calendar' if calendar else ''}"),
+                 f"{' --smoke' if smoke else ''}"
+                 f"{' --batch' if batch else ''}"),
         jobs=jobs,
         config={"mode": mode, "scenarios": sorted(current),
                 "schema": SCHEMA_VERSION},
@@ -677,15 +549,6 @@ def format_report(doc: Dict[str, object]) -> str:
         )
         if pairs:
             lines.append(f"batch tier vs event baseline: {pairs}")
-    vs_heap = doc.get("delta_vs_heap")
-    if isinstance(vs_heap, dict) and vs_heap:
-        pairs = ", ".join(
-            f"{name} {ratios['events_per_sec']:.2f}x"
-            for name, ratios in sorted(vs_heap.items())
-            if "events_per_sec" in ratios
-        )
-        if pairs:
-            lines.append(f"calendar scheduler vs heap baseline: {pairs}")
     return "\n".join(lines)
 
 
@@ -720,16 +583,4 @@ def check_regression(
                         f"batch tier slower than event baseline: {name} "
                         f"at {ratio:.2f}x (expected >= 1.0x)"
                     )
-    if mode.endswith("-calendar"):
-        # The calendar queue's reason to exist is the many-timer shape:
-        # losing to the heap on timer_churn means its geometry adaptation
-        # broke (general scenarios are allowed to be a wash).
-        vs_heap = doc.get("delta_vs_heap")
-        if isinstance(vs_heap, dict):
-            ratio = vs_heap.get("timer_churn", {}).get("events_per_sec")
-            if ratio is not None and ratio < 1.0:
-                warnings.append(
-                    f"calendar scheduler slower than heap on timer_churn: "
-                    f"{ratio:.2f}x (expected >= 1.0x)"
-                )
     return warnings

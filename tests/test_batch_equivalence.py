@@ -310,7 +310,7 @@ class TestCrossWireEquivalence:
 
 # ---------------------------------------------------------------------------
 # in-dataplane latency histograms: the observation layer itself must be
-# batch-, jobs-, and scheduler-invariant (docs/METRICS.md)
+# batch- and jobs-invariant (docs/METRICS.md)
 
 
 def _dataplane_obs(env) -> Dict[str, Any]:
@@ -321,13 +321,13 @@ def _dataplane_obs(env) -> Dict[str, Any]:
     }
 
 
-def _dataplane_quickstart(batch: bool, scheduler=None):
+def _dataplane_quickstart(batch: bool):
     """Quickstart with per-hop observation armed: the FIFO kernel must
     accumulate tx-queue/wire/e2e/inter-arrival values bit-identically."""
     from repro.cli import _build_quickstart
 
     env, tx, rx = _build_quickstart(seed=5, metrics=True, batch=batch,
-                                    scheduler=scheduler, dataplane=True)
+                                    dataplane=True)
     snap = env.start_snapshotter(250_000.0)
     env.wait_for_slaves(duration_ns=1_500_000)
     obs = {
@@ -425,8 +425,8 @@ def _dataplane_load_latency(batch: bool):
 
 class TestDataplaneEquivalence:
     """The in-dataplane observability guarantee: per-hop latency and
-    inter-arrival histograms are bit-identical event vs batch, serial
-    vs ``--jobs 2``, and heap vs calendar scheduler."""
+    inter-arrival histograms are bit-identical event vs batch and serial
+    vs ``--jobs 2``."""
 
     def test_quickstart_histograms_identical(self):
         stats = assert_batch_equivalent(_dataplane_quickstart)
@@ -462,17 +462,6 @@ class TestDataplaneEquivalence:
             f"plan {name!r} diverged under batch with dataplane "
             "observation armed:\n  " + "\n  ".join(diff))
         assert plain["latency_fingerprint"]
-
-    def test_heap_vs_calendar_histograms_identical(self):
-        combos = [
-            _dataplane_quickstart(False, scheduler="heap"),
-            _dataplane_quickstart(False, scheduler="calendar"),
-            _dataplane_quickstart(True, scheduler="calendar"),
-        ]
-        base = combos[0][0]
-        for obs, _ in combos[1:]:
-            diff = _dict_diff(base, obs)
-            assert not diff, "\n  ".join(diff)
 
     def test_serial_vs_jobs_histograms_identical(self):
         """The precision audit fans whole simulations across worker

@@ -30,10 +30,10 @@ from repro.errors import ConfigurationError
 
 
 def _run_two_port(seed=5, duration_ns=400_000, dataplane=True, paced=None,
-                  batch=False, scheduler=None):
+                  batch=False):
     """One saturating (or paced) CBR pipeline port 0 -> port 1."""
     env = MoonGenEnv(seed=seed, metrics=True, dataplane=dataplane,
-                     batch=batch, scheduler=scheduler)
+                     batch=batch)
     tx = env.config_device(0, tx_queues=1)
     rx = env.config_device(1, rx_queues=1)
     env.connect(tx, rx)

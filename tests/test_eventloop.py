@@ -3,7 +3,14 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.nicsim.eventloop import EventLoop, Process, Signal, wait_any
+from repro.nicsim.eventloop import (
+    EventLoop,
+    HeapScheduler,
+    Process,
+    Signal,
+    Watchdog,
+    wait_any,
+)
 
 
 class TestEventLoop:
@@ -80,6 +87,94 @@ class TestEventLoop:
         loop.schedule(10, lambda: loop.schedule(10, lambda: fired.append(2)))
         loop.run()
         assert fired == [2] and loop.now_ps == 20
+
+
+class TestHeapScheduler:
+    def test_compaction_on_cancel_churn(self):
+        loop = EventLoop()
+        heap = loop.scheduler
+        keep = [loop.schedule(1000 + i, lambda: None) for i in range(100)]
+        dead = [loop.schedule(2000 + i, lambda: None) for i in range(400)]
+        for event in dead:
+            event.cancel()
+        assert heap.compactions >= 1
+        # Compaction keeps lingering cancelled entries below half the
+        # heap; the live count stays exact throughout.
+        assert heap.entry_count() < 2 * len(keep)
+        assert loop.pending_events == len(keep)
+        loop.run()
+        assert loop.pending_events == 0
+
+    @pytest.mark.parametrize("watched", [False, True])
+    def test_compaction_during_run_keeps_firing(self, watched):
+        """Compaction rebuilds the heap list in place, so a run loop
+        holding it in a local still sees every surviving event."""
+        loop = EventLoop()
+        if watched:
+            loop.watchdog = Watchdog()
+        fired = []
+        dead = [loop.schedule(5000 + i, lambda: None) for i in range(300)]
+
+        def cancel_all():
+            for event in dead:
+                event.cancel()
+
+        loop.schedule(10, cancel_all)
+        for i in range(5):
+            loop.schedule(6000 + i, lambda i=i: fired.append(i))
+        loop.run()
+        assert loop.scheduler.compactions >= 1
+        assert fired == [0, 1, 2, 3, 4]
+        assert loop.pending_events == 0 and loop.scheduler.entry_count() == 0
+
+    def test_pop_due_respects_bound_without_popping(self):
+        loop = EventLoop()
+        heap = loop.scheduler
+        loop.schedule(100, lambda: None)
+        assert heap.pop_due(50) is None
+        assert heap.live == 1  # nothing was popped
+        assert heap.peek_time() == 100
+        event = heap.pop_due(100)
+        assert event is not None and event.time_ps == 100
+        assert heap.live == 0
+
+    def test_metrics_gauges(self):
+        heap = HeapScheduler()
+        gauges = heap.metrics()
+        assert sorted(gauges) == ["compactions", "entries", "live"]
+        assert all(gauges[key]() == 0 for key in gauges)
+
+
+class TestExactPendingCounts:
+    def test_cancel_decrements_exactly_once(self):
+        loop = EventLoop()
+        event = loop.schedule(100, lambda: None)
+        assert loop.pending_events == 1
+        event.cancel()
+        assert loop.pending_events == 0
+        event.cancel()  # double cancel: no double decrement
+        assert loop.pending_events == 0
+
+    def test_cancel_after_fire_is_noop(self):
+        loop = EventLoop()
+        event = loop.schedule(10, lambda: None)
+        loop.schedule(100, lambda: None)
+        loop.run(until_ps=50)
+        event.cancel()  # stale handle: already fired
+        assert loop.pending_events == 1
+
+    def test_lane_events_counted(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule(0, lambda: fired.append(loop.now_ps))
+        lane_event = loop.schedule(0, lambda: fired.append(loop.now_ps))
+        loop.schedule(10, lambda: None)
+        assert loop.pending_events == 3
+        assert loop.next_event_time_ps() == 0
+        lane_event.cancel()
+        assert loop.pending_events == 2
+        loop.run()
+        assert fired == [0] and loop.pending_events == 0
 
 
 class TestSignal:

@@ -5,18 +5,23 @@ These pin the scheduler invariants every simulation result rests on:
 * events scheduled for the same instant fire in insertion order,
 * a cancelled event never fires,
 * ``run(until_ps)`` never executes an event beyond the horizon,
+* the inlined heap run loop and the watched run loop fire the same
+  events in the same order with the same clocks and live counts,
 * arbitrary interleavings of ``spawn``/``Signal.trigger`` are
   deterministic: two identical runs produce byte-identical traces,
 * killing a parked process drops its waiter registration (no leaks).
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.nicsim.eventloop import EventLoop, Signal, wait_any
+from repro.nicsim.eventloop import EventLoop, Signal, Watchdog, wait_any
 from tests._hypothesis_profiles import property_settings
 from repro.trace import Tracer
 
 SETTINGS = property_settings()
+#: Run-loop parity programs are cheap (no simulation), so they get a
+#: bigger budget than the standard property test.
+PARITY = property_settings(200)
 
 
 class TestSchedulerProperties:
@@ -183,12 +188,18 @@ class TestWaiterHygieneProperties:
         assert not any(s.has_waiters for s in signals)
 
 
-# One scheduler-parity "program": arbitrary interleavings of schedule /
-# cancel / run(until) / step, replayed on both backends.
+# One run-loop parity "program": arbitrary interleavings of schedule /
+# cancel / run(until) / step, replayed on the inlined heap loop and on the
+# watched loop (which pops through HeapScheduler.pop_due).
+# Small delays make equal-time heap entries common, and "follow" events
+# schedule a same-instant lane event when they fire, so both loops must
+# order heap entries at `now` before lane entries.
+_delays = st.one_of(st.integers(min_value=0, max_value=8),
+                    st.integers(min_value=0, max_value=20_000))
 parity_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("schedule"),
-                  st.integers(min_value=0, max_value=20_000)),
+        st.tuples(st.just("schedule"), _delays),
+        st.tuples(st.just("follow"), _delays),
         st.tuples(st.just("cancel"),
                   st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("run_until"),
@@ -198,9 +209,15 @@ parity_ops = st.lists(
     min_size=1, max_size=60)
 
 
-def _drive_scheduler(scheduler, ops):
-    """Replay one op sequence; returns every observable the loop exposes."""
-    loop = EventLoop(scheduler=scheduler)
+def _drive_loop(watched, ops):
+    """Replay one op sequence; returns every observable the loop exposes.
+
+    ``watched`` arms a guard-less :class:`Watchdog`, which routes every
+    ``run()`` through ``_run_watched`` instead of the inlined ``_run_heap``.
+    """
+    loop = EventLoop()
+    if watched:
+        loop.watchdog = Watchdog()
     fired = []
     handles = []
     observed = []
@@ -208,6 +225,11 @@ def _drive_scheduler(scheduler, ops):
         if kind == "schedule":
             handles.append(
                 loop.schedule(arg, lambda t=tag: fired.append((t, loop.now_ps))))
+        elif kind == "follow":
+            def follow(t=tag):
+                fired.append((t, loop.now_ps))
+                loop.schedule(0, lambda: fired.append((-t, loop.now_ps)))
+            handles.append(loop.schedule(arg, follow))
         elif kind == "cancel" and handles:
             handles[arg % len(handles)].cancel()
         elif kind == "run_until":
@@ -221,26 +243,35 @@ def _drive_scheduler(scheduler, ops):
         loop.events_processed
 
 
-class TestSchedulerParity:
-    @settings(**SETTINGS)
+class TestRunLoopParity:
+    @settings(**PARITY)
     @given(parity_ops)
-    def test_heap_and_calendar_bit_identical(self, ops):
-        """The house invariant of the scheduler seam: arbitrary
-        schedule/cancel/run(until)/step interleavings produce the same
-        fire order, clocks, live counts, and next-event times on the
-        binary heap and the calendar queue."""
-        assert _drive_scheduler("heap", ops) == \
-            _drive_scheduler("calendar", ops)
+    # A heap entry still due at `now` must fire before the lane event the
+    # first one scheduled on firing.
+    @example([("follow", 5), ("schedule", 5), ("run_until", 10)])
+    def test_inlined_and_watched_loops_bit_identical(self, ops):
+        """Arbitrary schedule/cancel/run(until)/step interleavings produce
+        the same fire order, clocks, live counts, and next-event times on
+        the inlined heap loop and on the watched ``pop_due`` loop."""
+        assert _drive_loop(False, ops) == _drive_loop(True, ops)
 
-    @settings(**SETTINGS)
+    @settings(**PARITY)
     @given(parity_ops)
-    def test_calendar_drains_exactly(self, ops):
-        """After a full drain the calendar's exact live count is zero and
-        nothing lingers but lazily-cancelled entries (none, post-run)."""
-        loop = EventLoop(scheduler="calendar")
-        for tag, (kind, arg) in enumerate(ops):
-            if kind == "schedule":
-                loop.schedule(arg, lambda: None)
-        loop.run()
-        assert loop.pending_events == 0
-        assert loop.scheduler.peek_time() is None
+    def test_heap_drains_exactly(self, ops):
+        """After a full drain the heap's exact live count is zero and no
+        entry lingers, not even a lazily-cancelled one."""
+        for watched in (False, True):
+            loop = EventLoop()
+            if watched:
+                loop.watchdog = Watchdog()
+            handles = []
+            for kind, arg in ops:
+                if kind in ("schedule", "follow"):
+                    handles.append(loop.schedule(arg, lambda: None))
+                elif kind == "cancel" and handles:
+                    handles[arg % len(handles)].cancel()
+            loop.run()
+            heap = loop.scheduler
+            assert loop.pending_events == 0
+            assert heap.live == 0 and heap.peek_time() is None
+            assert heap.entry_count() == 0 and heap._cancelled_pending == 0

@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -16,6 +17,9 @@ def run_example(name, argv=()):
     module = importlib.util.module_from_spec(spec)
     old_argv = sys.argv
     sys.argv = [name] + list(argv)
+    # Registered under its name so the example's module-level functions
+    # pickle by reference: parallel sweeps hand them to forked workers.
+    sys.modules[name] = module
     out = io.StringIO()
     try:
         with redirect_stdout(out):
@@ -23,6 +27,7 @@ def run_example(name, argv=()):
             module.main()
     finally:
         sys.argv = old_argv
+        sys.modules.pop(name, None)
     return out.getvalue()
 
 
@@ -60,7 +65,12 @@ class TestExamples:
         assert "micro-bursts" in out
 
     def test_multicore_scaling(self):
-        out = run_example("multicore_scaling", ["3"])
+        # An unpicklable sweep function would make run_parallel warn and
+        # fall back to serial; the sweep must really fan out.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = run_example("multicore_scaling", ["3", "--jobs", "2"])
+        assert "with 2 worker(s)" in out
         assert "line rate" in out
         lines = [l for l in out.splitlines() if l.strip() and l.strip()[0].isdigit()]
         assert len(lines) == 3

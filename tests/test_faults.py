@@ -106,6 +106,45 @@ class TestFaultPlan:
             FaultPlan(faults=(
                 CorruptionBurst("wire:0->1", start_ns=-1.0, end_ns=1.0),))
 
+    @pytest.mark.parametrize("field", ["start_ns", "end_ns"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_non_finite_window_rejected(self, field, value):
+        """``Infinity``/``NaN`` parse as JSON floats; a window bound must
+        still be a finite instant, reported as a ConfigurationError (not
+        an OverflowError mid-run, nor a misleading "negative start")."""
+        fault = {"fault": "link_flap", "target": "port:1",
+                 "start_ns": 0, "end_ns": 1e6}
+        fault[field] = value
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be finite"):
+            FaultPlan.from_dict({"version": 1, "faults": [fault]})
+
+    def test_non_finite_window_rejected_from_json_text(self):
+        text = ('{"version": 1, "faults": [{"fault": "link_flap", '
+                '"target": "port:1", "start_ns": 0, "end_ns": Infinity}]}')
+        with pytest.raises(ConfigurationError, match="end_ns must be finite"):
+            load_plan(text)
+
+    @pytest.mark.parametrize("kind, extra", [("clock_step", {"step_ns": 5.0}),
+                                             ("clock_drift",
+                                              {"drift_ppm": 1.0})])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_clock_instant_rejected(self, kind, extra, value):
+        fault = dict({"fault": kind, "target": "port:1", "at_ns": value},
+                     **extra)
+        with pytest.raises(ConfigurationError, match="at_ns must be finite"):
+            FaultPlan.from_dict({"version": 1, "faults": [fault]})
+
+    def test_huge_finite_window_runs(self):
+        """A far-future end (1e30 ns) is a legitimate open-ended window."""
+        plan = FaultPlan.from_dict({"version": 1, "faults": [
+            {"fault": "link_flap", "target": "port:1",
+             "start_ns": 0, "end_ns": 1e30}]})
+        result = run_plan(plan, seed=1)
+        # The link stays down for the whole run: sent, never received.
+        assert result["tx_packets"] > 0 and result["rx_packets"] == 0
+
     def test_probability_validation(self):
         with pytest.raises(ConfigurationError, match="p_good_bad"):
             BurstLoss("wire:0->1", 0.0, 1.0, p_good_bad=1.5).validate()
