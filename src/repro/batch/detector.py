@@ -368,8 +368,10 @@ def detect_train(port: NicPort, start_ps: int,
         if (sink_port is None
                 or getattr(sink, "__func__", None) is not NicPort.receive
                 or not isinstance(sink_port, NicPort)):
-            return "sink-unbatchable"
+            sink_port = None
         port._batch_sink = (wire, sink, sink_port)
+    if sink_port is None:
+        return "sink-unbatchable"
     if not sink_port.batch_ready_rx():
         return "rx-waiters"
 

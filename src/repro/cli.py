@@ -171,7 +171,7 @@ def _build_dut_forward(seed: int, faults=None, metrics=False,
     def rx_task():
         rx_queue = rx.get_rx_queue(0)
         while env.running():
-            rx_queue.try_fetch(64)
+            rx_queue.drain(64)
             yield env.sleep_us(10.0)
 
     env.launch(tx_task)

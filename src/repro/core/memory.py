@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Iterator, List, Optional
 
-from repro.errors import ConfigurationError, QueueError
+from repro.errors import ConfigurationError, PacketError, QueueError
 from repro.nicsim.eventloop import Signal
 from repro.packet.packet import PacketData
 
@@ -91,12 +91,33 @@ class MemPool:
         self._free: Deque[PacketBuffer] = deque()
         self.free_signal = Signal()
         self.n_buffers = n_buffers
+        if buf_capacity < 0:
+            raise PacketError(f"negative packet size: {buf_capacity}")
+        # PacketBuffer.__init__ inlined: a pool build is thousands of
+        # buffers.  ``fill`` runs once per buffer, in index order; the
+        # final resize skips the size setter's bounds check unless the
+        # fill swapped the buffer's data or its ``pkt``.
+        new = PacketBuffer.__new__
+        append = self._free.append
         for _ in range(n_buffers):
-            buf = PacketBuffer(self, buf_capacity)
+            buf = new(PacketBuffer)
+            buf.data = bytearray(buf_capacity)
+            buf._size = buf_capacity
+            buf.pool = self
+            buf.pkt = buf
+            buf.in_pool = True
+            buf.offload_ip = False
+            buf.offload_l4 = False
+            buf.timestamp_flag = False
+            buf.corrupt_fcs = False
             if fill is not None:
                 fill(buf)
-            buf.pkt.size = buf_capacity
-            self._free.append(buf)
+                pkt = buf.pkt
+                if pkt is not buf or len(buf.data) < buf_capacity:
+                    pkt.size = buf_capacity
+                else:
+                    buf._size = buf_capacity
+            append(buf)
 
     @property
     def available(self) -> int:

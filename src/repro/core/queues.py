@@ -13,7 +13,6 @@ from repro.core.memory import PacketBuffer
 from repro.core.ops import RecvOp, SendOp
 from repro.errors import RateControlError
 from repro.nicsim.nic import RxQueueSim, SimFrame, TxQueueSim
-from repro.packet.packet import PacketData
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.device import Device
@@ -40,10 +39,15 @@ class RxPacket(PacketBuffer):
     __slots__ = ("frame", "rx_timestamp_ns")
 
     def __init__(self, frame: SimFrame) -> None:
-        # Deliberately skip PacketBuffer.__init__: no pool allocation.
-        size = len(frame.data)
-        PacketData.__init__(self, size, max(64, size))
-        self.data[:size] = frame.data
+        # Deliberately skip PacketBuffer.__init__ (no pool allocation) and
+        # PacketData.__init__: the snapshot is the frame's bytes, padded
+        # to a 64-byte minimum capacity.
+        data = bytearray(frame.data)
+        size = len(data)
+        if size < 64:
+            data.extend(bytes(64 - size))
+        self.data = data
+        self._size = size
         self.pool = _RX_POOL
         self.pkt = self
         self.in_pool = False
@@ -144,6 +148,15 @@ class RxQueue:
     def try_fetch(self, max_frames: int) -> List[RxPacket]:
         """Non-blocking poll used by synchronous code and tests."""
         return [RxPacket(f) for f in self.sim.fetch(max_frames)]
+
+    def drain(self, max_frames: int) -> int:
+        """Discard up to ``max_frames`` received frames; returns how many.
+
+        :meth:`try_fetch` for a caller that never reads the packets: the
+        same ring fetch, without building an :class:`RxPacket` snapshot
+        per frame.
+        """
+        return len(self.sim.fetch(max_frames))
 
     @property
     def rx_packets(self) -> int:

@@ -80,6 +80,9 @@ class SequenceTracker:
 
     Loss accounting is gap-based: a jump from n to n+k marks k-1 packets
     lost; if one of them shows up later it is re-classified as reordered.
+    Gaps only show between received packets, so frames lost after the
+    last one received (tail loss, or total loss) need
+    :meth:`count_tail_loss` with the number of frames that were due.
     """
 
     def __init__(self, offset: int = DEFAULT_SEQ_OFFSET,
@@ -123,6 +126,24 @@ class SequenceTracker:
             else:
                 report.duplicates += 1
         return seq
+
+    def count_tail_loss(self, due: int) -> int:
+        """Count the due frames that never arrived after the last one seen.
+
+        ``due`` is the number of frames, sequence numbers ``0 .. due-1``,
+        that have had every chance to arrive: frames sent minus frames
+        still in transit.  Those above the highest sequence number seen
+        become lost (and reorder like gap losses if one shows up later);
+        ``gap_events``/``longest_gap`` keep describing gaps between
+        received frames.  Returns the number of frames added to ``lost``.
+        """
+        tail = due - self._expected
+        if tail <= 0:
+            return 0
+        self._missing.update(range(self._expected, due))
+        self._expected = due
+        self.report.lost += tail
+        return tail
 
     def observe_batch(self, bufs: BufArray) -> None:
         for buf in bufs:

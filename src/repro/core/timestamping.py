@@ -236,9 +236,11 @@ class Timestamper:
         """Wait for the probe's rx timestamp; returns the latency or None."""
         deadline_ps = self.env.loop.now_ps + round(timeout_ns * 1000)
         port = self.rx_device.port
+        # Poll the register again shortly (busy-wait on real hardware).
+        poll = self.env.sleep_ns(min(1_000.0, timeout_ns / 10))
         while True:
             # Drain any frames (the probe itself plus unrelated traffic).
-            rx_queue.try_fetch(64)
+            rx_queue.drain(64)
             stamp = port.read_rx_timestamp()
             if stamp is not None:
                 rx_ns, rx_seq = stamp
@@ -251,5 +253,4 @@ class Timestamper:
                 return rx_ns - tx_ns
             if self.env.loop.now_ps >= deadline_ps:
                 return None
-            # Poll the register again shortly (busy-wait on real hardware).
-            yield self.env.sleep_ns(min(1_000.0, timeout_ns / 10))
+            yield poll

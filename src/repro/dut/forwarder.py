@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple
 
 from repro.dut.fastpath import (
     DEFAULT_PIPELINE_NS,
@@ -30,7 +30,12 @@ from repro.nicsim.nic import SimFrame
 
 @dataclass
 class DutConfig:
-    """Forwarder parameters; defaults match the paper's OvS DuT."""
+    """Forwarder parameters; defaults match the paper's OvS DuT.
+
+    ``pipeline_ns`` is read once, when the forwarder is built: a fixed
+    pipeline delay keeps departures in service order, which the egress
+    FIFO relies on.
+    """
 
     service_ns: float = DEFAULT_SERVICE_NS
     ring_size: int = DEFAULT_RING_SIZE
@@ -49,6 +54,14 @@ class OvsForwarder:
         self.output: Optional[Wire] = None
         self._busy = False
         self._interrupt_scheduled = False
+        #: The frame in service.  ``_busy`` guards the one service chain,
+        #: so at most one ``_done`` event is pending at a time.
+        self._in_service: Optional[SimFrame] = None
+        self._pipeline_ps = round(self.config.pipeline_ns * 1000)
+        #: ``(frame, wire)`` pairs awaiting their ``_egress`` event.  With
+        #: a fixed pipeline delay departures leave in service order, so
+        #: each ``_egress`` takes the oldest entry.
+        self._egress_fifo: Deque[Tuple[SimFrame, Wire]] = deque()
         # Counters.
         self.rx_crc_errors = 0
         self.rx_packets = 0
@@ -108,24 +121,26 @@ class OvsForwarder:
         if self._start_ps is None:
             self._start_ps = arrival_ps
         self._last_activity_ps = arrival_ps
-        tracer = self.loop.tracer
         if not frame.fcs_ok:
             # Dropped by the DuT NIC before it reaches any software — the
             # load of invalid packets causes no system activity (Section 8.2).
             self.rx_crc_errors += 1
+            tracer = self.loop.tracer
             if tracer is not None:
                 tracer.emit("drop", "dut_drop_fcs",
                             frame=tracer.frame_id(frame), size=frame.size)
             return
         self.moderator.observe_arrival(arrival_ps / 1000.0)
-        if len(self.ring) >= self.config.ring_size:
+        ring = self.ring
+        if len(ring) >= self.config.ring_size:
             self.rx_dropped += 1
+            tracer = self.loop.tracer
             if tracer is not None:
                 tracer.emit("drop", "dut_drop_ring",
                             frame=tracer.frame_id(frame), size=frame.size)
             return
         frame.meta["dut_arrival_ps"] = arrival_ps
-        self.ring.append(frame)
+        ring.append(frame)
         self.rx_packets += 1
         if not self._busy:
             self._schedule_interrupt()
@@ -154,35 +169,41 @@ class OvsForwarder:
 
     def _poll(self) -> None:
         """NAPI poll: process one packet, then re-poll or go idle."""
-        if not self.ring:
+        ring = self.ring
+        if not ring:
             # Ring drained: re-enable interrupts.
             self._busy = False
-            if self.ring:
-                self._schedule_interrupt()
             return
-        frame = self.ring.popleft()
+        frame = ring.popleft()
+        loop = self.loop
         if self.dp_ring is not None:
             arrival = frame.meta.get("dut_arrival_ps")
             if arrival is not None:
-                self.dp_ring.observe((self.loop.now_ps - arrival) / 1000.0)
-        service_ps = round(self.config.service_ns * self.overload * 1000)
+                self.dp_ring.observe((loop.now_ps - arrival) / 1000.0)
+        self._in_service = frame
+        loop.schedule_at(
+            loop.now_ps + round(self.config.service_ns * self.overload * 1000),
+            self._done)
 
-        def done(frame=frame) -> None:
-            self.moderator.account(1, frame.size)
-            self.forwarded += 1
-            pipeline_ps = round(self.config.pipeline_ns * 1000)
-            departure = self.loop.now_ps + pipeline_ps
-            frame.meta["dut_departure_ps"] = departure
-            if self.output is not None:
-                out = self.output
+    def _done(self) -> None:
+        """End of the in-service frame's processing: hand it to egress."""
+        frame = self._in_service
+        self._in_service = None
+        self.moderator.account(1, frame.size)
+        self.forwarded += 1
+        loop = self.loop
+        departure = loop.now_ps + self._pipeline_ps
+        frame.meta["dut_departure_ps"] = departure
+        out = self.output
+        if out is not None:
+            self._egress_fifo.append((frame, out))
+            loop.schedule_at(departure, self._egress)
+        self._poll()
 
-                def egress(frame=frame, out=out) -> None:
-                    out.transmit(frame, frame.size)
-
-                self.loop.schedule(pipeline_ps, egress)
-            self._poll()
-
-        self.loop.schedule(service_ps, done)
+    def _egress(self) -> None:
+        """A frame leaves the pipeline onto the output wire."""
+        frame, out = self._egress_fifo.popleft()
+        out.transmit(frame, frame.size)
 
     # -- results ---------------------------------------------------------------------
 
@@ -201,6 +222,12 @@ class OvsForwarder:
             "ring_depth": len(self.ring),
             "interrupts": self.moderator.interrupts,
         }
+
+    @property
+    def in_flight(self) -> int:
+        """Frames accepted but not yet sent: ring, service and pipeline."""
+        return (len(self.ring) + (self._in_service is not None)
+                + len(self._egress_fifo))
 
     @property
     def interrupts(self) -> int:

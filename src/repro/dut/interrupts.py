@@ -82,7 +82,8 @@ class InterruptModerator:
             self._clump_len += 1
         else:
             self._clump_len = 1
-        self._max_clump = max(self._max_clump, self._clump_len)
+        if self._clump_len > self._max_clump:
+            self._max_clump = self._clump_len
         self._last_arrival_ns = now_ns
 
     def account(self, packets: int, nbytes: int) -> None:

@@ -77,12 +77,14 @@ def run_plan(
     rx_dev = env.config_device(1, tx_queues=1, rx_queues=1)
     dut = None
     wire = None
+    wire_out = None
     if needs_dut:
         from repro.dut.forwarder import OvsForwarder
 
         dut = OvsForwarder(env.loop)
         wire = env.connect_to_sink(tx_dev, dut.ingress)
-        dut.connect_output(env.wire_to_device(rx_dev))
+        wire_out = env.wire_to_device(rx_dev)
+        dut.connect_output(wire_out)
         env.register_dut(dut)
     else:
         wire, _ = env.connect(tx_dev, rx_dev)
@@ -111,6 +113,15 @@ def run_plan(
             for pkt in rx_queue.try_fetch(64):
                 tracker.observe(pkt)
             yield env.sleep_us(10.0)
+        # The receiver stops: every frame the load queue has sent that is
+        # no longer in transit (on a wire, in the DuT, in the rx ring)
+        # had its chance to arrive.  Frames sent or still moving after
+        # this point are not due (the tx rings keep draining into an rx
+        # ring nobody reads).
+        in_transit = wire.in_flight + len(rx_queue.sim.ring)
+        if dut is not None:
+            in_transit += dut.in_flight + wire_out.in_flight
+        tracker.count_tail_loss(load_queue.tx_packets - in_transit)
 
     monitor = DeviceStatsMonitor(env, rx_dev, interval_ns=1_000_000.0,
                                  stream=io.StringIO())

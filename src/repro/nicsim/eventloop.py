@@ -57,6 +57,9 @@ from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tu
 
 from repro.errors import ConfigurationError, SimAborted, SimulationError
 
+_heappush = heapq.heappush
+_new_object = object.__new__
+
 #: Compact the heap when cancelled entries exceed this fraction of it.
 _COMPACT_FRACTION = 0.5
 #: ...but never bother compacting structures smaller than this.
@@ -306,8 +309,10 @@ class EventLoop:
 
     def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute time ``time_ps``."""
-        time_ps = int(time_ps)
-        if time_ps == self.now_ps:
+        if type(time_ps) is not int:
+            time_ps = int(time_ps)
+        now = self.now_ps
+        if time_ps == now:
             # Same-instant fast lane: plain FIFO append.  Every heap
             # entry at this instant predates it, so heap-first keeps seq
             # order.
@@ -315,14 +320,20 @@ class EventLoop:
             self._lane.append(event)
             self._lane_live += 1
             return event
-        if time_ps < self.now_ps:
+        if time_ps < now:
             raise SimulationError(
-                f"cannot schedule at {time_ps} ps, now is {self.now_ps} ps"
+                f"cannot schedule at {time_ps} ps, now is {now} ps"
             )
         scheduler = self.scheduler
-        event = Event(time_ps, callback, scheduler)
-        heapq.heappush(self._heap_queue,
-                       (time_ps, next(self._heap_seq), event))
+        # ``Event(time_ps, callback, scheduler)``, minus the __init__ frame:
+        # this line runs for nearly every event the simulator schedules.
+        event = _new_object(Event)
+        event.time_ps = time_ps
+        event.callback = callback
+        event.cancelled = False
+        event._owner = scheduler
+        event._in_sched = True
+        _heappush(self._heap_queue, (time_ps, next(self._heap_seq), event))
         scheduler.live += 1
         return event
 

@@ -234,7 +234,8 @@ class Wire:
         defaults to now; transmission never begins before the wire is free
         (the MAC serializes frames one after another).
         """
-        start = self.loop.now_ps if start_ps is None else start_ps
+        loop = self.loop
+        start = loop.now_ps if start_ps is None else start_ps
         busy = self.busy_until_ps
         if busy > start:
             start = busy
@@ -246,7 +247,7 @@ class Wire:
         self.busy_until_ps = end
         self.frames_sent += 1
         self.bytes_sent += frame_size
-        tracer = self.loop.tracer
+        tracer = loop.tracer
         if self.sink is not None:
             if not self.carrier_up:
                 # Link flap: the carrier is down, the frame is lost on the
@@ -287,9 +288,8 @@ class Wire:
                                 size=frame_size)
                 self._release(frame)
                 return end
-            corrupted = bool(self.corrupt_rate
-                             and self.rng.random() < self.corrupt_rate)
-            if corrupted:
+            corrupted = False
+            if self.corrupt_rate and self.rng.random() < self.corrupt_rate:
                 # A bit error on the wire: the FCS no longer matches.  The
                 # counter and the trace drop-event move together with the
                 # actual FCS mark, so ``corrupted`` always equals the
@@ -320,7 +320,7 @@ class Wire:
                                 frame=tracer.frame_id(frame),
                                 size=frame_size)
             self._pending.append(
-                (frame, arrival, self.loop.schedule_at(arrival, self._deliver_due))
+                (frame, arrival, loop.schedule_at(arrival, self._deliver_due))
             )
         elif tracer is not None:
             tracer.emit("wire", "wire_tx", frame=tracer.frame_id(frame),

@@ -454,7 +454,9 @@ class TxQueueSim:
         gap_ps = frame.wire_size * 8 * 1e12 / self.rate_bps
         tick_ps = self.port.rate_clock_ps
         ideal = gap_ps + self._rate_error_ps
-        ticks = max(1, round(ideal / tick_ps))
+        ticks = round(ideal / tick_ps)
+        if ticks < 1:
+            ticks = 1
         actual = ticks * tick_ps
         self._rate_error_ps = ideal - actual
         self.next_allowed_ps = start_ps + round(actual)
@@ -494,10 +496,13 @@ class RxQueueSim:
 
     def fetch(self, max_frames: int) -> List[SimFrame]:
         """Software-side poll: take up to ``max_frames`` from the ring."""
-        out = []
-        while self.ring and len(out) < max_frames:
-            out.append(self.ring.popleft())
-        return out
+        ring = self.ring
+        if len(ring) <= max_frames:
+            out = list(ring)
+            ring.clear()
+            return out
+        pop = ring.popleft
+        return [pop() for _ in range(max_frames)]
 
 
 class NicCard:
@@ -659,9 +664,12 @@ class NicPort:
         self.link_changes = 0
         self.link_signal = Signal()
         self.dma_slowdown = 1.0
-        # ``repro.batch`` sink-validation memo: ``(wire, sink)`` pairs the
-        # detector has already proven to end in ``NicPort.receive``.
-        self._batch_sink: Optional[Tuple[object, object, "NicPort"]] = None
+        # ``repro.batch`` sink-validation memo: the detector's verdict on
+        # the last ``(wire, sink)`` pair, as ``(wire, sink, sink_port)``
+        # with ``sink_port`` ``None`` for a sink that is not a
+        # ``NicPort.receive`` (e.g. a DuT's ingress).
+        self._batch_sink: Optional[
+            Tuple[object, object, Optional["NicPort"]]] = None
         #: In-dataplane latency observation state
         #: (:class:`repro.metrics.dataplane.PortDataplane`), attached by
         #: :meth:`repro.metrics.dataplane.DataplaneObserver.attach_port`.
@@ -774,9 +782,13 @@ class NicPort:
         return None
 
     def _earliest_pending_ps(self) -> Optional[int]:
-        pending = [q.next_allowed_ps for q in self.tx_queues
-                   if q.ring and not q.stalled]
-        return min(pending) if pending else None
+        earliest = None
+        for q in self.tx_queues:
+            if q.ring and not q.stalled:
+                t = q.next_allowed_ps
+                if earliest is None or t < earliest:
+                    earliest = t
+        return earliest
 
     def _fetch_from_ring(self, queue: TxQueueSim, tracer) -> SimFrame:
         """DMA one descriptor out of a ring: recycle + wake the producer.
@@ -874,11 +886,16 @@ class NicPort:
         a task that immediately enqueues more frames.
         """
         if not self._prefetching and self._fifo_bytes < self.chip.tx_fifo_bytes:
-            self._prefetching = True
-            try:
-                self._prefetch()
-            finally:
-                self._prefetching = False
+            # Only unpaced rings prefetch: a kick with none holding frames
+            # (the paced-ring kick) skips the DMA pass.
+            for queue in self.tx_queues:
+                if queue.ring and not queue.rate_bps:
+                    self._prefetching = True
+                    try:
+                        self._prefetch()
+                    finally:
+                        self._prefetching = False
+                    break
         if self._mac_busy:
             return
         # Mark the MAC busy *before* waking software: space signals can
@@ -897,8 +914,9 @@ class NicPort:
                 if nxt is not None and (
                     self._mac_wakeup is None or self._mac_wakeup.cancelled
                 ):
+                    now = self.loop.now_ps
                     self._mac_wakeup = self.loop.schedule_at(
-                        max(nxt, self.loop.now_ps), self._mac_kick
+                        nxt if nxt > now else now, self._mac_kick
                     )
                 return
             frame = self._fetch_from_ring(queue, self.loop.tracer)
@@ -934,7 +952,7 @@ class NicPort:
                 observer(frame, now)
         wire = self.wire
         if wire is not None:
-            wire.transmit(frame, size, start_ps=now)
+            wire.transmit(frame, size, now)
         elif frame.pool is not None:
             # Transmit into the void: nothing can reach the frame again.
             frame.pool.release(frame)
